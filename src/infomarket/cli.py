@@ -26,17 +26,6 @@ from .scenario import Scenario, format_number, load_scenario, resolve_path
 
 logger = logging.getLogger("infomarket")
 
-SUBCOMMANDS = (
-    "equilibrium",
-    "match",
-    "game",
-    "vote-fptp",
-    "vote-meek",
-    "dynamics",
-    "sweep",
-    "path",
-)
-
 
 def _fmt(x) -> str:
     return format_number(x)
@@ -217,6 +206,8 @@ _RUNNERS = {
     "sweep": _run_sweep,
     "path": _run_path,
 }
+
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:

@@ -7,11 +7,10 @@ handles non-linear curves, and a cobweb iteration classifies whether the
 clearing point attracts or repels out-of-equilibrium prices.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
-
-import numpy as np
 
 from .errors import InfeasibleEquilibrium, NonMonotone, NoRoot
 
@@ -42,6 +41,10 @@ class MarketParams:
     demand_slope: float
 
     def __post_init__(self):
+        for name in ("supply_slope", "demand_intercept", "demand_slope"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.supply_slope > 0:
             raise ValueError(f"supply_slope must be positive, got {self.supply_slope}")
         if not self.demand_slope > 0:
@@ -103,8 +106,11 @@ def _probe_monotone(fn, lo, hi, increasing):
     """Check fn is (weakly) monotone over a uniform grid on [lo, hi].
 
     Tries one vectorized evaluation first; callables that only accept scalars
-    are probed point by point.
+    are probed point by point. numpy is imported here, not at module top, so
+    that importing the package (and every CLI run) does not pay for it.
     """
+    import numpy as np
+
     grid = np.linspace(lo, hi, MONOTONE_SAMPLES)
     try:
         values = np.asarray(fn(grid), dtype=float)
@@ -197,16 +203,3 @@ def stability_cobweb(params: MarketParams, p0: float, steps: int) -> StabilityRe
         p = (b - a * p) / c
         iterates.append(p)
     return StabilityReport(classification=classification, iterates=iterates)
-
-
-def solve_markets(
-    params_by_type: dict[NewsType, MarketParams],
-) -> dict[NewsType, Equilibrium | None]:
-    """Closed-form equilibria per news type, with None marking infeasible markets."""
-    out: dict[NewsType, Equilibrium | None] = {}
-    for kind, params in params_by_type.items():
-        try:
-            out[kind] = equilibrium_closed_form(params)
-        except InfeasibleEquilibrium:
-            out[kind] = None
-    return out

@@ -104,18 +104,6 @@ class Matching:
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset(self.pairs))
 
-    def partner_of_provider(self, provider):
-        for p, c in self.pairs:
-            if p == provider:
-                return c
-        return None
-
-    def partner_of_consumer(self, consumer):
-        for p, c in self.pairs:
-            if c == consumer:
-                return p
-        return None
-
     def as_sorted_pairs(self) -> list[tuple[str, str]]:
         return sorted(self.pairs)
 

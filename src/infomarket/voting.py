@@ -35,8 +35,8 @@ class Ballot:
 
     def __post_init__(self):
         object.__setattr__(self, "ranking", tuple(self.ranking))
-        if self.weight < 0:
-            raise ValueError(f"ballot weight must be >= 0, got {self.weight}")
+        if not (self.weight >= 0 and math.isfinite(self.weight)):
+            raise ValueError(f"ballot weight must be finite and >= 0, got {self.weight}")
         if len(set(self.ranking)) != len(self.ranking):
             raise ValueError(f"ballot ranks a candidate twice: {self.ranking}")
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from infomarket.cli import SUBCOMMANDS, main
@@ -80,6 +85,28 @@ def test_infeasible_market_surfaces_module_error(tmp_path, capsys):
     )
     assert run_cli("equilibrium", "--scenario", str(path), "--out", str(tmp_path)) == 1
     assert "error [market]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_market_coefficient_rejected(value, scenario_dir, tmp_path, capsys):
+    text = (scenario_dir / "newsroom.scn").read_text()
+    path = tmp_path / "newsroom.scn"
+    path.write_text(text.replace("demand_intercept = 10", f"demand_intercept = {value}", 1))
+    out = tmp_path / "out"
+    assert run_cli("equilibrium", "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error [scenario]" in err and "demand_intercept must be finite" in err
+    assert not out.exists()
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import infomarket.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )
 
 
 def test_grid_override_changes_sweep(scenario_dir, tmp_path):

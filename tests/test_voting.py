@@ -230,6 +230,11 @@ class TestBallotParsing:
         with pytest.raises(ParseError):
             parse_ballots(["ten : A"])
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-nan"])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ParseError, match="ballot line 2"):
+            parse_ballots(["1 : B > A", f"{weight} : A > B"])
+
     def test_empty_candidate(self):
         with pytest.raises(ParseError):
             parse_ballots(["3 : A > > B"])
