@@ -6,6 +6,7 @@ caller-supplied valuation, and the cheap/luxury segmentation of the two
 markets.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
@@ -147,9 +148,9 @@ def gale_shapley(profile: PreferenceProfile, proposing: str = PROVIDERS) -> Matc
     }
     engaged: dict[str, str] = {}  # receiver -> proposer
     next_choice = {p: 0 for p in proposers}
-    free = list(proposers)
+    free = deque(proposers)
     while free:
-        proposer = free.pop(0)
+        proposer = free.popleft()
         ranking = proposer_prefs[proposer]
         if next_choice[proposer] >= len(ranking):
             continue  # exhausted all receivers; stays unmatched

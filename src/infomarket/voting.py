@@ -10,8 +10,11 @@ non-exhausted weight as the count progresses.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -126,6 +129,91 @@ class _Status(Enum):
     EXCLUDED = "excluded"
 
 
+class _PathTally:
+    """Ballot weight distribution that walks each distinct ballot path once.
+
+    Handing a ballot down its ranking, a candidate with keep factor 0 takes
+    nothing and one with keep factor 1 takes all that is left
+    (``w - w * 1.0 == 0.0``). So what a ballot gives each candidate depends
+    only on its weight and its *path*: the ranking without the keep-0
+    candidates, cut after the first keep-1 candidate. Ballots are grouped by
+    (weight, path), and the groups are rebuilt only when the set of keep-1 or
+    keep-0 candidates changes.
+
+    The result is bit-identical to walking every ballot in turn: each group
+    walk makes the same float operations as one of its ballots, and each
+    total is a left fold with plain ``+`` in ballot order over the ballots
+    that reach the candidate (the ones left out would add only ``+0.0``).
+    ``sum()`` is not used because from Python 3.12 it compensates float sums.
+    """
+
+    def __init__(self, ballots: Sequence[Ballot], ids: Sequence[str]):
+        kinds: dict[tuple[float, tuple[str, ...]], int] = {}
+        # Weight-0 ballots give nothing to anyone.
+        self._ballot_kinds = [
+            kinds.setdefault((b.weight, b.ranking), len(kinds))
+            for b in ballots
+            if b.weight > 0.0
+        ]
+        self._kinds = list(kinds)
+        self._ids = ids
+        self._signature: tuple[frozenset[str], frozenset[str]] | None = None
+
+    def _group(self, keep: Mapping[str, float]) -> None:
+        groups: dict[tuple[float, tuple[str, ...]], int] = {}
+        group_of_kind = []
+        for weight, ranking in self._kinds:
+            path = []
+            for cand in ranking:
+                k = keep[cand]
+                if k > 0.0:
+                    path.append(cand)
+                    if k == 1.0:
+                        break
+            group_of_kind.append(groups.setdefault((weight, tuple(path)), len(groups)))
+        self._groups = list(groups)
+        ballot_groups = list(map(group_of_kind.__getitem__, self._ballot_kinds))
+
+        def reaching(flags: list[bool]) -> list[int]:
+            """The group of each ballot whose group is flagged, in ballot order."""
+            if not any(flags):
+                return []
+            return list(compress(ballot_groups, map(flags.__getitem__, ballot_groups)))
+
+        self._reach = {
+            c: reaching([c in path for _, path in self._groups]) for c in self._ids
+        }
+        self._open = reaching(
+            [not (path and keep[path[-1]] == 1.0) for _, path in self._groups]
+        )
+
+    def distribute(self, keep: Mapping[str, float]) -> tuple[dict[str, float], float]:
+        """Each candidate's retained weight, and the exhausted weight."""
+        signature = (
+            frozenset(c for c in self._ids if keep[c] == 1.0),
+            frozenset(c for c in self._ids if not keep[c] > 0.0),
+        )
+        if signature != self._signature:
+            self._group(keep)
+            self._signature = signature
+        shares = {c: [0.0] * len(self._groups) for c in self._ids}
+        left = []
+        for g, (w, path) in enumerate(self._groups):
+            for cand in path:
+                if w <= 0.0:
+                    break
+                kept = w * keep[cand]
+                shares[cand][g] = kept
+                w -= kept
+            left.append(w)
+        totals = {
+            c: reduce(operator.add, map(shares[c].__getitem__, self._reach[c]), 0.0)
+            for c in self._ids
+        }
+        exhausted = reduce(operator.add, map(left.__getitem__, self._open), 0.0)
+        return totals, exhausted
+
+
 def meek_count(
     ballots: Sequence[Ballot],
     candidates: Sequence[str],
@@ -152,12 +240,14 @@ def meek_count(
     """
     if seats < 1:
         raise InvalidSeats(f"seats must be >= 1, got {seats}")
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     ids = sorted(candidates)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate candidate ids")
     known = set(ids)
-    for ballot in ballots:
-        for cand in ballot.ranking:
+    for ranking in dict.fromkeys(b.ranking for b in ballots):
+        for cand in ranking:
             if cand not in known:
                 raise UnknownCandidate(f"ballot ranks unknown candidate {cand!r}")
 
@@ -166,29 +256,14 @@ def meek_count(
     total_weight = sum(b.weight for b in ballots)
     winners: list[str] = []
     rounds: list[CountRound] = []
-
-    def distribute() -> tuple[dict[str, float], float]:
-        totals = {c: 0.0 for c in ids}
-        exhausted = 0.0
-        for ballot in ballots:
-            w = ballot.weight
-            for cand in ballot.ranking:
-                if w <= 0.0:
-                    break
-                k = keep[cand]
-                if k > 0.0:
-                    kept = w * k
-                    totals[cand] += kept
-                    w -= kept
-            exhausted += w
-        return totals, exhausted
+    tally = _PathTally(ballots, ids)
 
     def quota_of(exhausted: float) -> float:
         return (total_weight - exhausted) / (seats + 1)
 
     while True:
         events: list[CountEvent] = []
-        totals, exhausted = distribute()
+        totals, exhausted = tally.distribute(keep)
         quota = quota_of(exhausted)
         converged = False
         for _ in range(KEEP_ITERATION_CAP):
@@ -224,7 +299,7 @@ def meek_count(
             for c in ids:
                 if status[c] is _Status.ELECTED and totals[c] > quota:
                     keep[c] = keep[c] * quota / totals[c]
-            totals, exhausted = distribute()
+            totals, exhausted = tally.distribute(keep)
             quota = quota_of(exhausted)
         if not converged:
             raise NonConvergence(
@@ -277,15 +352,19 @@ def parse_ballots(lines: Iterable[str]) -> list[Ballot]:
     """Parse a line-oriented ballot file.
 
     Each non-blank, non-comment line reads ``<weight> : <cand> > <cand> > ...``
-    with ``#`` starting a comment.
+    with ``#`` starting a comment. Repeated lines share one ``Ballot``.
 
     Raises:
         ParseError: a line does not match the format.
     """
     ballots = []
+    seen: dict[str, Ballot] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if line in seen:
+            ballots.append(seen[line])
             continue
         if ":" not in line:
             raise ParseError(f"ballot line {lineno}: expected '<weight> : <ranking>'")
@@ -300,9 +379,10 @@ def parse_ballots(lines: Iterable[str]) -> list[Ballot]:
         if any(not n for n in names):
             raise ParseError(f"ballot line {lineno}: empty candidate name")
         try:
-            ballots.append(Ballot(ranking=tuple(names), weight=weight))
+            seen[line] = Ballot(ranking=tuple(names), weight=weight)
         except ValueError as exc:
             raise ParseError(f"ballot line {lineno}: {exc}") from None
+        ballots.append(seen[line])
     return ballots
 
 

@@ -2,12 +2,19 @@
 
 None of these call into the implementations they verify: the stable-matching
 enumerator checks blocking pairs itself, the Nash oracle builds best-response
-sets, and the path oracle walks every simple path.
+sets, the path oracle walks every simple path, and the Meek counts walk every
+ballot, one in floats and one in exact rationals.
 """
 
 import itertools
+import math
+from enum import Enum
+from fractions import Fraction
 
 import numpy as np
+
+from infomarket.errors import NonConvergence
+from infomarket.voting import CountEvent, CountRound, ElectionResult, EventKind
 
 
 def enumerate_stable_pure(profile):
@@ -143,3 +150,204 @@ def cheapest_simple_path(edges, source, target):
     if best is None:
         return None
     return best[0], list(best[1])
+
+
+class _Status(Enum):
+    HOPEFUL = "hopeful"
+    ELECTED = "elected"
+    EXCLUDED = "excluded"
+
+
+_KEEP_ITERATION_CAP = 1000
+
+
+def meek_count_per_ballot(ballots, candidates, seats, tolerance=1e-9):
+    """Reference for ``voting.meek_count``: each pass walks every ballot in turn.
+
+    This is the count as it was before ballots were grouped by path, kept
+    as written less its input checks, so that tests can require the grouped
+    count to give the same ``ElectionResult`` bit for bit.
+    """
+    ids = sorted(candidates)
+    status = {c: _Status.HOPEFUL for c in ids}
+    keep = {c: 1.0 for c in ids}
+    total_weight = sum(b.weight for b in ballots)
+    winners: list[str] = []
+    rounds: list[CountRound] = []
+
+    def distribute() -> tuple[dict[str, float], float]:
+        totals = {c: 0.0 for c in ids}
+        exhausted = 0.0
+        for ballot in ballots:
+            w = ballot.weight
+            for cand in ballot.ranking:
+                if w <= 0.0:
+                    break
+                k = keep[cand]
+                if k > 0.0:
+                    kept = w * k
+                    totals[cand] += kept
+                    w -= kept
+            exhausted += w
+        return totals, exhausted
+
+    def quota_of(exhausted: float) -> float:
+        return (total_weight - exhausted) / (seats + 1)
+
+    while True:
+        events: list[CountEvent] = []
+        totals, exhausted = distribute()
+        quota = quota_of(exhausted)
+        converged = False
+        for _ in range(_KEEP_ITERATION_CAP):
+            room = seats - len(winners)
+            crossers = [
+                c for c in ids if status[c] is _Status.HOPEFUL and totals[c] > quota
+            ]
+            if crossers and room > 0:
+                crossers.sort(key=lambda c: (-totals[c], c))
+                overflow = len(crossers) > room
+                for c in crossers[:room]:
+                    status[c] = _Status.ELECTED
+                    winners.append(c)
+                    events.append(
+                        CountEvent(
+                            EventKind.ELECTED,
+                            c,
+                            tied=overflow and totals[c] == totals[crossers[room]],
+                        )
+                    )
+            newly_elected = bool(crossers) and room > 0
+            surplus = max(
+                (
+                    totals[c] - quota
+                    for c in ids
+                    if status[c] is _Status.ELECTED and totals[c] > quota
+                ),
+                default=0.0,
+            )
+            if not newly_elected and surplus <= tolerance:
+                converged = True
+                break
+            for c in ids:
+                if status[c] is _Status.ELECTED and totals[c] > quota:
+                    keep[c] = keep[c] * quota / totals[c]
+            totals, exhausted = distribute()
+            quota = quota_of(exhausted)
+        if not converged:
+            raise NonConvergence(
+                f"surplus transfer missed tolerance {tolerance} "
+                f"after {_KEEP_ITERATION_CAP} iterations"
+            )
+
+        hopefuls = [c for c in ids if status[c] is _Status.HOPEFUL]
+        if len(winners) == seats or not hopefuls:
+            rounds.append(CountRound(dict(totals), quota, exhausted, tuple(events), dict(keep)))
+            break
+        if len(hopefuls) + len(winners) <= seats:
+            # Too few contenders left for the open seats: all of them win.
+            for c in hopefuls:
+                status[c] = _Status.ELECTED
+                winners.append(c)
+                events.append(CountEvent(EventKind.ELECTED, c))
+            rounds.append(CountRound(dict(totals), quota, exhausted, tuple(events), dict(keep)))
+            break
+        low = min(totals[c] for c in hopefuls)
+        tied_low = [c for c in hopefuls if totals[c] == low]
+        excluded = min(tied_low)
+        status[excluded] = _Status.EXCLUDED
+        keep[excluded] = 0.0
+        events.append(CountEvent(EventKind.EXCLUDED, excluded, tied=len(tied_low) > 1))
+        rounds.append(CountRound(dict(totals), quota, exhausted, tuple(events), dict(keep)))
+
+    return ElectionResult(
+        winners=tuple(winners), rounds=tuple(rounds), keep_factors=dict(keep)
+    )
+
+
+
+
+def _round_up(x, grid):
+    return Fraction(math.ceil(x * grid), grid)
+
+
+def meek_count_exact(ballots, candidates, seats, tolerance=Fraction(1, 10**12), grid=2**80):
+    """The Meek count in exact rational arithmetic, with the float count's rules.
+
+    Ballot weights convert to ``Fraction`` exactly and every total, quota and
+    exhausted weight is exact. Only keep factors are rounded, up to a
+    multiple of ``1/grid``, as Algorithm 123 rounds them up to its fixed
+    precision; unrounded, their denominators grow with every iteration.
+
+    Returns ``(winners, rounds, margin)``. Each round is ``(totals, quota,
+    exhausted, events)`` with events as ``(kind, candidate)`` pairs. ``margin``
+    is the smallest gap behind any decision: a hopeful's total against the
+    quota, or the two totals an election or exclusion chose between. A float
+    count may decide a near-tie the other way, so callers set those aside.
+    """
+    ids = sorted(candidates)
+    weighted = [(Fraction(b.weight), b.ranking) for b in ballots]
+    total_weight = sum(w for w, _ in weighted)
+    keep = dict.fromkeys(ids, Fraction(1))
+    status = dict.fromkeys(ids, "hopeful")
+    winners, rounds = [], []
+    margin = math.inf
+
+    def note(gap):
+        nonlocal margin
+        margin = min(margin, abs(gap))
+
+    def distribute():
+        totals = dict.fromkeys(ids, Fraction(0))
+        exhausted = Fraction(0)
+        for w, ranking in weighted:
+            for cand in ranking:
+                share = w * keep[cand]
+                totals[cand] += share
+                w -= share
+            exhausted += w
+        return totals, exhausted, (total_weight - exhausted) / (seats + 1)
+
+    while True:
+        events = []
+        for _ in range(_KEEP_ITERATION_CAP):
+            totals, exhausted, quota = distribute()
+            hopefuls = [c for c in ids if status[c] == "hopeful"]
+            crossers = sorted(
+                (c for c in hopefuls if totals[c] > quota), key=lambda c: (-totals[c], c)
+            )
+            room = seats - len(winners)
+            if room > 0:
+                for c in hopefuls:
+                    note(totals[c] - quota)
+            if 0 < room < len(crossers):
+                note(totals[crossers[room - 1]] - totals[crossers[room]])
+            for c in crossers[:room]:
+                status[c] = "elected"
+                winners.append(c)
+                events.append(("elected", c))
+            over = [c for c in ids if status[c] == "elected" and totals[c] > quota]
+            if not crossers[:room] and all(totals[c] - quota <= tolerance for c in over):
+                break
+            for c in over:
+                keep[c] = _round_up(keep[c] * quota / totals[c], grid)
+        else:
+            raise RuntimeError("exact Meek count did not converge")
+
+        hopefuls = [c for c in ids if status[c] == "hopeful"]
+        done = len(winners) == seats or not hopefuls
+        if not done and len(hopefuls) + len(winners) <= seats:
+            for c in hopefuls:
+                status[c] = "elected"
+                winners.append(c)
+                events.append(("elected", c))
+            done = True
+        if not done:
+            lowest = sorted(hopefuls, key=lambda c: (totals[c], c))
+            note(totals[lowest[1]] - totals[lowest[0]])
+            status[lowest[0]] = "excluded"
+            keep[lowest[0]] = Fraction(0)
+            events.append(("excluded", lowest[0]))
+        rounds.append((totals, quota, exhausted, events))
+        if done:
+            return winners, rounds, margin

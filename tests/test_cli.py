@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from infomarket.cli import SUBCOMMANDS, main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -37,6 +40,14 @@ def test_rerun_is_byte_identical(shipped_scenarios, tmp_path):
             assert run_cli(subcommand, "--scenario", str(scenario), "--out", str(second)) == 0
             name = f"{scenario.stem}_{subcommand}.csv"
             assert read(first / name) == read(second / name)
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_shipped_scenarios_reproduce_golden_csvs(subcommand, shipped_scenarios, tmp_path):
+    for scenario in shipped_scenarios:
+        assert run_cli(subcommand, "--scenario", str(scenario), "--out", str(tmp_path)) == 0
+        name = f"{scenario.stem}_{subcommand}.csv"
+        assert read(tmp_path / name) == read(GOLDEN_DIR / name), name
 
 
 def test_equilibrium_csv_content(scenario_dir, tmp_path):
@@ -96,6 +107,20 @@ def test_non_finite_market_coefficient_rejected(value, scenario_dir, tmp_path, c
     assert run_cli("equilibrium", "--scenario", str(path), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert "error [scenario]" in err and "demand_intercept must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_voting_tolerance_rejected(value, scenario_dir, tmp_path, capsys):
+    text = (scenario_dir / "newsroom.scn").read_text()
+    path = tmp_path / "newsroom.scn"
+    path.write_text(text.replace("tolerance = 1e-09", f"tolerance = {value}", 1))
+    for referenced in scenario_dir.glob("newsroom_*.txt"):
+        shutil.copy(referenced, tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("vote-meek", "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error [input]" in err and "tolerance must be finite and >= 0" in err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import meek_count_exact, meek_count_per_ballot
 from infomarket.errors import (
     EmptyInput,
     InvalidSeats,
@@ -210,6 +211,57 @@ class TestMeek:
             Ballot(("A", "A"), 1.0)
 
 
+def random_election(rng, max_cands=6, max_ballots=14):
+    """Ballots drawn from a few rankings, so rankings and whole ballots repeat.
+
+    Weights mix whole numbers (so totals tie), zero and fractions; rankings
+    are partial; seats run up to the number of candidates.
+    """
+    n = rng.randint(1, max_cands)
+    candidates = [f"cand{i}" for i in range(n)]
+    pool = [tuple(rng.sample(candidates, rng.randint(1, n))) for _ in range(rng.randint(1, 6))]
+    weights = [0.0, 1.0, 1.0, 2.0, 3.0, 0.1, 0.25, rng.uniform(0.0, 5.0)]
+    ballots = [
+        Ballot(rng.choice(pool), rng.choice(weights))
+        for _ in range(rng.randint(1, max_ballots))
+    ]
+    ballots += rng.sample(ballots, rng.randint(0, len(ballots)))
+    return ballots, candidates, rng.randint(1, n)
+
+
+class TestMeekOracles:
+    def test_matches_per_ballot_walk_bit_for_bit(self):
+        rng = random.Random(31337)
+        for trial in range(1500):
+            if trial % 100 == 0:
+                ballots, candidates, seats = random_election(rng, 9, 400)
+            else:
+                ballots, candidates, seats = random_election(rng)
+            assert repr(meek_count(ballots, candidates, seats)) == repr(
+                meek_count_per_ballot(ballots, candidates, seats)
+            )
+
+    def test_agrees_with_exact_rational_count(self):
+        rng = random.Random(2718)
+        compared = 0
+        for _ in range(150):
+            ballots, candidates, seats = random_election(rng, 5, 10)
+            winners, rounds, margin = meek_count_exact(ballots, candidates, seats)
+            if margin < 1e-6:
+                continue  # a near-tie that float rounding may break either way
+            result = meek_count(ballots, candidates, seats, tolerance=1e-12)
+            assert result.winners == tuple(winners)
+            assert len(result.rounds) == len(rounds)
+            for rnd, (totals, quota, exhausted, events) in zip(result.rounds, rounds):
+                assert [(e.kind.value, e.candidate) for e in rnd.events] == events
+                assert abs(rnd.quota - quota) <= 1e-9
+                assert abs(rnd.exhausted - exhausted) <= 1e-9
+                for cand in candidates:
+                    assert abs(rnd.totals[cand] - totals[cand]) <= 1e-9
+            compared += 1
+        assert compared >= 100
+
+
 class TestBallotParsing:
     def test_round_trip_with_comments(self):
         text = [
@@ -221,6 +273,11 @@ class TestBallotParsing:
         ]
         ballots = parse_ballots(text)
         assert ballots == HAND_BALLOTS
+
+    def test_repeated_lines_share_one_ballot(self):
+        ballots = parse_ballots(["2 : A > B", "1 : B", "2 : A > B  # again"])
+        assert ballots == [Ballot(("A", "B"), 2.0), Ballot(("B",), 1.0), Ballot(("A", "B"), 2.0)]
+        assert ballots[0] is ballots[2]
 
     def test_weight_required(self):
         with pytest.raises(ParseError):
