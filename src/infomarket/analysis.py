@@ -10,6 +10,7 @@ node sequence.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -141,7 +142,7 @@ def reliability_marginal_contribution(curve: HealthCurve) -> list[tuple[float, f
 
 @dataclass(frozen=True)
 class SpreadGraph:
-    """Directed channel network with nonnegative traversal costs."""
+    """Directed channel network with finite, nonnegative traversal costs."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]
@@ -157,8 +158,10 @@ class SpreadGraph:
                 raise ValueError(f"self-loop on {src!r}")
             if src not in known or dst not in known:
                 raise ValueError(f"edge ({src!r}, {dst!r}) uses undeclared nodes")
-            if cost < 0:
-                raise ValueError(f"negative cost on edge ({src!r}, {dst!r})")
+            if not (cost >= 0 and math.isfinite(cost)):
+                raise ValueError(
+                    f"cost on edge ({src!r}, {dst!r}) must be finite and >= 0, got {cost}"
+                )
 
 
 def graph_from_edges(edges: Iterable[tuple[str, str, float]]) -> SpreadGraph:
@@ -194,6 +197,10 @@ def load_spread_graph(path) -> SpreadGraph:
         return parse_spread_graph(f)
 
 
+# Stands in for the entry of a popped node: its cost of -1 is below any route's.
+_POPPED = (-1.0, (), -1)
+
+
 def min_cost_spread_path(
     graph: SpreadGraph, source: str, target: str
 ) -> tuple[float, list[str]]:
@@ -201,29 +208,42 @@ def min_cost_spread_path(
 
     Dijkstra's search over nonnegative costs; among equally cheap routes the
     lexicographically smallest node sequence wins. Keying the heap on
-    (cost, path) makes that tie-break fall out of the pop order.
+    (cost, path) makes that tie-break fall out of the pop order. Nodes are
+    numbered in name order, so a path of numbers compares as its path of
+    names. An entry is pushed only if it beats the best one already pushed
+    for its node; the first pop per node is still the least (cost, path).
 
     Raises:
         Unreachable: no route exists.
     """
-    known = set(graph.nodes)
-    if source not in known or target not in known:
+    names = sorted(graph.nodes)
+    number = {name: i for i, name in enumerate(names)}
+    if source not in number or target not in number:
         raise ValueError(f"source/target must be graph nodes, got {source!r}, {target!r}")
-    adjacency: dict[str, list[tuple[str, float]]] = {n: [] for n in graph.nodes}
+    # Edge order does not matter: distinct (cost, path) keys alone fix the pop order.
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in names]
     for src, dst, cost in graph.edges:
-        adjacency[src].append((dst, cost))
-    for nbrs in adjacency.values():
-        nbrs.sort()
-    heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (source,), source)]
-    done = set()
+        adjacency[number[src]].append((number[dst], cost))
+    start, goal = number[source], number[target]
+    entry = (0.0, (start,), start)
+    best: list = [None] * len(names)  # node -> least entry pushed for it
+    best[start] = entry
+    heap = [entry]
     while heap:
-        cost, path, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        if node == target:
-            return cost, list(path)
-        done.add(node)
+        entry = heapq.heappop(heap)
+        cost, path, node = entry
+        if best[node] is not entry:
+            continue  # superseded by a smaller entry, popped before this one
+        if node == goal:
+            return cost, [names[i] for i in path]
+        best[node] = _POPPED  # frees the path; every later candidate loses to it
         for nbr, edge_cost in adjacency[node]:
-            if nbr not in done:
-                heapq.heappush(heap, (cost + edge_cost, path + (nbr,), nbr))
+            new_cost = cost + edge_cost
+            held = best[nbr]
+            # Skip unless (new_cost, path + (nbr,)) < held; paths are built only on cost ties.
+            if held is not None and new_cost >= held[0]:
+                if new_cost > held[0] or path + (nbr,) >= held[1]:
+                    continue
+            best[nbr] = pushed = (new_cost, path + (nbr,), nbr)
+            heapq.heappush(heap, pushed)
     raise Unreachable(f"no route from {source!r} to {target!r}")

@@ -244,7 +244,6 @@ def main(argv=None) -> int:
             raise ParseError(f"--seed must be >= 0, got {seed}")
         ctx = {
             "scenario_path": args.scenario,
-            "seed": seed,
             "grid": _parse_grid(args.grid) if args.grid is not None else None,
         }
         logger.info("running %s on scenario %s (seed %d)", args.subcommand, scenario.name, seed)

@@ -88,9 +88,10 @@ def _check_rankings(prefs, own_ids, other_ids, side):
             f"(missing={sorted(missing)}, unknown={sorted(extra)})"
         )
     for agent, ranking in prefs.items():
-        if len(set(ranking)) != len(ranking):
+        ids = set(ranking)
+        if len(ids) != len(ranking):
             raise MalformedProfile(f"{side} {agent!r} ranking repeats an id")
-        if set(ranking) != other_ids:
+        if ids != other_ids:
             raise MalformedProfile(
                 f"{side} {agent!r} ranking is not a permutation of the opposite side"
             )
@@ -133,42 +134,47 @@ def gale_shapley(profile: PreferenceProfile, proposing: str = PROVIDERS) -> Matc
     """
     profile.validate()
     if proposing == PROVIDERS:
-        proposers = profile.providers
-        proposer_prefs = profile.provider_prefs
-        receiver_prefs = profile.consumer_prefs
+        proposers, receivers = profile.providers, profile.consumers
+        proposer_prefs, receiver_prefs = profile.provider_prefs, profile.consumer_prefs
     elif proposing == CONSUMERS:
-        proposers = profile.consumers
-        proposer_prefs = profile.consumer_prefs
-        receiver_prefs = profile.provider_prefs
+        proposers, receivers = profile.consumers, profile.providers
+        proposer_prefs, receiver_prefs = profile.consumer_prefs, profile.provider_prefs
     else:
         raise ValueError(f"proposing must be {PROVIDERS!r} or {CONSUMERS!r}")
 
-    receiver_rank = {
-        r: {p: i for i, p in enumerate(ranking)} for r, ranking in receiver_prefs.items()
-    }
-    engaged: dict[str, str] = {}  # receiver -> proposer
-    next_choice = {p: 0 for p in proposers}
-    free = deque(proposers)
+    # Agents become list positions: choices[p] yields receiver positions in
+    # p's order, and rank[r][p] is where receiver r ranks proposer p.
+    receiver_pos = {r: i for i, r in enumerate(receivers)}.__getitem__
+    choices = [map(receiver_pos, proposer_prefs[p]) for p in proposers]
+    positions = list(range(len(proposers)))  # one int object per position for all rows
+    rank = [
+        list(map(dict(zip(receiver_prefs[r], positions)).__getitem__, proposers))
+        for r in receivers
+    ]
+    held = [-1] * len(receivers)  # receiver -> proposer, -1 while free
+    first_held = []  # receivers in the order they were first held
+    free = deque(positions)
     while free:
         proposer = free.popleft()
-        ranking = proposer_prefs[proposer]
-        if next_choice[proposer] >= len(ranking):
+        receiver = next(choices[proposer], -1)
+        if receiver < 0:
             continue  # exhausted all receivers; stays unmatched
-        receiver = ranking[next_choice[proposer]]
-        next_choice[proposer] += 1
-        current = engaged.get(receiver)
-        if current is None:
-            engaged[receiver] = proposer
-        elif receiver_rank[receiver][proposer] < receiver_rank[receiver][current]:
-            engaged[receiver] = proposer
+        current = held[receiver]
+        if current < 0:
+            held[receiver] = proposer
+            first_held.append(receiver)
+        elif rank[receiver][proposer] < rank[receiver][current]:
+            held[receiver] = proposer
             free.append(current)
         else:
             free.append(proposer)
 
+    # Build the pairs in first-held order so the frozenset, and any sum over it,
+    # iterates as it would over a receiver -> proposer dict.
     if proposing == PROVIDERS:
-        pairs = frozenset((p, r) for r, p in engaged.items())
+        pairs = frozenset((proposers[held[r]], receivers[r]) for r in first_held)
     else:
-        pairs = frozenset((r, p) for r, p in engaged.items())
+        pairs = frozenset((receivers[r], proposers[held[r]]) for r in first_held)
     return Matching(pairs=pairs)
 
 

@@ -193,14 +193,18 @@ def _matching_section(data: dict) -> PreferenceProfile:
     consumers = tuple(data["consumers"].split())
     allowed = {"providers", "consumers"} | {f"rank.{a}" for a in providers + consumers}
     _reject_unknown("matching", data, allowed)
+    # Each ranking entry becomes the declared id's own str object, so the
+    # profile holds one str per id and set checks and lookups hit on identity.
+    declared = {a: a for a in providers + consumers}.get
     ranks = {}
     for agent in providers + consumers:
         key = f"rank.{agent}"
         if key not in data:
             raise ParseError(f"[matching] missing ranking for {agent!r}")
-        ranks[agent] = tuple(tok.strip() for tok in data[key].split(">"))
-        if any(not tok for tok in ranks[agent]):
+        ranking = [tok.strip() for tok in data[key].split(">")]
+        if "" in ranking:
             raise ParseError(f"[matching] {key}: empty id in ranking")
+        ranks[agent] = tuple([declared(tok, tok) for tok in ranking])
     profile = PreferenceProfile(
         providers=providers,
         consumers=consumers,

@@ -3,17 +3,23 @@
 None of these call into the implementations they verify: the stable-matching
 enumerator checks blocking pairs itself, the Nash oracle builds best-response
 sets, the path oracle walks every simple path, and the Meek counts walk every
-ballot, one in floats and one in exact rationals.
+ballot, one in floats and one in exact rationals. The name-keyed deferred
+acceptance and route search are the kernels as they were before agents and
+nodes became list positions, kept so the position-keyed ones can be held to
+the same results bit for bit.
 """
 
+import heapq
 import itertools
 import math
+from collections import deque
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from infomarket.errors import NonConvergence
+from infomarket.errors import NonConvergence, Unreachable
+from infomarket.matching import PROVIDERS, Matching
 from infomarket.voting import CountEvent, CountRound, ElectionResult, EventKind
 
 
@@ -150,6 +156,77 @@ def cheapest_simple_path(edges, source, target):
     if best is None:
         return None
     return best[0], list(best[1])
+
+
+def gale_shapley_by_name(profile, proposing=PROVIDERS):
+    """Reference for ``matching.gale_shapley``: dicts keyed by agent name.
+
+    This is deferred acceptance as it was before agents became list
+    positions, kept as written less its input checks.
+    """
+    if proposing == PROVIDERS:
+        proposers = profile.providers
+        proposer_prefs = profile.provider_prefs
+        receiver_prefs = profile.consumer_prefs
+    else:
+        proposers = profile.consumers
+        proposer_prefs = profile.consumer_prefs
+        receiver_prefs = profile.provider_prefs
+
+    receiver_rank = {
+        r: {p: i for i, p in enumerate(ranking)} for r, ranking in receiver_prefs.items()
+    }
+    engaged = {}  # receiver -> proposer
+    next_choice = {p: 0 for p in proposers}
+    free = deque(proposers)
+    while free:
+        proposer = free.popleft()
+        ranking = proposer_prefs[proposer]
+        if next_choice[proposer] >= len(ranking):
+            continue
+        receiver = ranking[next_choice[proposer]]
+        next_choice[proposer] += 1
+        current = engaged.get(receiver)
+        if current is None:
+            engaged[receiver] = proposer
+        elif receiver_rank[receiver][proposer] < receiver_rank[receiver][current]:
+            engaged[receiver] = proposer
+            free.append(current)
+        else:
+            free.append(proposer)
+
+    if proposing == PROVIDERS:
+        pairs = frozenset((p, r) for r, p in engaged.items())
+    else:
+        pairs = frozenset((r, p) for r, p in engaged.items())
+    return Matching(pairs=pairs)
+
+
+def min_cost_spread_path_by_name(graph, source, target):
+    """Reference for ``analysis.min_cost_spread_path``: a heap of every relaxation.
+
+    This is the search as it was before nodes became numbers: paths of
+    names on the heap, and an entry pushed for every edge into a node not
+    yet popped. Kept as written less its input checks.
+    """
+    adjacency = {n: [] for n in graph.nodes}
+    for src, dst, cost in graph.edges:
+        adjacency[src].append((dst, cost))
+    for nbrs in adjacency.values():
+        nbrs.sort()
+    heap = [(0.0, (source,), source)]
+    done = set()
+    while heap:
+        cost, path, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        if node == target:
+            return cost, list(path)
+        done.add(node)
+        for nbr, edge_cost in adjacency[node]:
+            if nbr not in done:
+                heapq.heappush(heap, (cost + edge_cost, path + (nbr,), nbr))
+    raise Unreachable(f"no route from {source!r} to {target!r}")
 
 
 class _Status(Enum):

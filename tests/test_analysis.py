@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cheapest_simple_path
+from oracles import cheapest_simple_path, min_cost_spread_path_by_name
 
 from infomarket.analysis import (
     HealthCurve,
@@ -166,11 +166,49 @@ class TestSpreadPath:
             else:
                 assert min_cost_spread_path(g, "n0", nodes[-1]) == expected
 
+    def test_matches_name_keyed_search_bit_for_bit(self):
+        # Zero, repeated and fractional costs (0.1 + 0.2 != 0.3) make many
+        # cost ties; ids are declared out of name order ("v10" < "v2").
+        rng = random.Random(8080)
+        costs = (0.0, 0.1, 0.2, 0.3, 0.3, 1.0, 2.0)
+        outcomes = {"route": 0, "unreachable": 0, "source is target": 0}
+
+        def search(fn, graph, source, target):
+            try:
+                return repr(fn(graph, source, target))
+            except Unreachable as exc:
+                return f"Unreachable: {exc}"
+
+        for _ in range(1200):
+            n = rng.randint(1, 14)
+            nodes = [f"v{i}" for i in range(n)]
+            rng.shuffle(nodes)
+            density = rng.choice((0.15, 0.3, 0.6))
+            edges = []
+            for u in nodes:
+                for v in nodes:
+                    odds = density if u != v else 0.0
+                    while rng.random() < odds:  # sometimes parallel edges
+                        edges.append((u, v, rng.choice(costs)))
+                        odds /= 3
+            graph = SpreadGraph(nodes=tuple(nodes), edges=tuple(edges))
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            got = search(min_cost_spread_path, graph, source, target)
+            assert got == search(min_cost_spread_path_by_name, graph, source, target)
+            if source == target:
+                outcomes["source is target"] += 1
+            elif got.startswith("Unreachable"):
+                outcomes["unreachable"] += 1
+            else:
+                outcomes["route"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
     def test_graph_validation(self):
         with pytest.raises(ValueError):
             SpreadGraph(nodes=("A",), edges=(("A", "A", 1.0),))
-        with pytest.raises(ValueError):
-            SpreadGraph(nodes=("A", "B"), edges=(("A", "B", -2.0),))
+        for cost in (-2.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                SpreadGraph(nodes=("A", "B"), edges=(("A", "B", cost),))
         with pytest.raises(ValueError):
             SpreadGraph(nodes=("A",), edges=(("A", "B", 1.0),))
 

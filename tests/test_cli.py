@@ -124,6 +124,18 @@ def test_bad_voting_tolerance_rejected(value, scenario_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cost", ["inf", "nan"])
+def test_non_finite_graph_cost_rejected(cost, tmp_path, capsys):
+    (tmp_path / "route_graph.txt").write_text(f"a b {cost}\nb c 1\n")
+    path = tmp_path / "route.scn"
+    path.write_text("name = route\n[analysis]\ngraph = route_graph.txt\nsource = a\ntarget = c\n")
+    out = tmp_path / "out"
+    assert run_cli("path", "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error [scenario]" in err and "must be finite and >= 0" in err
+    assert not out.exists()
+
+
 def test_cli_import_does_not_load_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import enumerate_stable_pure, enumerate_stable_vectorized
+from oracles import enumerate_stable_pure, enumerate_stable_vectorized, gale_shapley_by_name
 
 from infomarket.errors import MalformedProfile, UnknownId
 from infomarket.market import NewsType
@@ -37,6 +37,20 @@ def random_profile(rng, n_providers, n_consumers):
         rng.shuffle(ranking)
         c_prefs[c] = tuple(ranking)
     return PreferenceProfile(providers, consumers, p_prefs, c_prefs)
+
+
+def shuffled_profile(rng, n_providers, n_consumers):
+    """Random profile whose ids are declared out of name order, with mixed name lengths."""
+    providers = [f"p{i}" for i in range(n_providers)]
+    consumers = [f"c{j}" for j in range(n_consumers)]
+    rng.shuffle(providers)
+    rng.shuffle(consumers)
+    return PreferenceProfile(
+        providers,
+        consumers,
+        {p: tuple(rng.sample(consumers, n_consumers)) for p in providers},
+        {c: tuple(rng.sample(providers, n_providers)) for c in consumers},
+    )
 
 
 def test_single_pair():
@@ -75,6 +89,23 @@ def test_gs_output_is_stable_on_random_profiles():
         side = (PROVIDERS, CONSUMERS)[i % 2]
         check = is_stable(gale_shapley(profile, proposing=side), profile)
         assert check.stable and not check.blocking_pairs
+
+
+def test_matches_name_keyed_deferred_acceptance_bit_for_bit():
+    # repr covers the pairs and the frozenset's iteration order, which a
+    # float sum over the pairs (total_payoff_value) depends on.
+    rng = random.Random(4242)
+    unequal = 0
+    for trial in range(600):
+        limit = 40 if trial % 50 == 0 else 12
+        n_p, n_c = rng.randint(1, limit), rng.randint(1, limit)
+        unequal += n_p != n_c
+        profile = shuffled_profile(rng, n_p, n_c)
+        side = (PROVIDERS, CONSUMERS)[trial % 2]
+        assert repr(gale_shapley(profile, proposing=side)) == repr(
+            gale_shapley_by_name(profile, proposing=side)
+        )
+    assert unequal >= 400
 
 
 def test_balanced_profiles_get_perfect_matchings():

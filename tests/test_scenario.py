@@ -156,6 +156,19 @@ def test_invalid_ranking_rejected():
         )
 
 
+def test_rankings_hold_the_declared_id_objects():
+    profile = parse_scenario(
+        "name = x\n[matching]\nproviders = alpha beta\nconsumers = gamma delta\n"
+        "rank.alpha = gamma > delta\nrank.beta = delta >gamma\n"
+        "rank.gamma = beta > alpha\nrank.delta = alpha>  beta\n"
+    ).matching
+    declared = {a: a for a in profile.providers + profile.consumers}
+    rankings = [*profile.provider_prefs.values(), *profile.consumer_prefs.values()]
+    assert len(rankings) == 4
+    for ranking in rankings:
+        assert all(tok is declared[tok] for tok in ranking)
+
+
 def test_bad_number_rejected():
     with pytest.raises(ParseError):
         parse_scenario(
