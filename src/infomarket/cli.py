@@ -7,24 +7,19 @@ Usage::
 
 Subcommands: equilibrium, match, game, vote-fptp, vote-meek, dynamics,
 sweep, path. Output lands in ``<out>/<scenario-name>_<subcommand>.csv`` and
-is byte-identical across reruns with the same inputs and seed. Set the
-``INFOMARKET_LOG`` environment variable (DEBUG, INFO, ...) for verbosity.
+is byte-identical across reruns with the same inputs and seed. Each
+runner imports its own subsystem, so a run loads only the modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import os
 import sys
 
-from . import analysis, dynamics, game, market, matching, voting
 from .errors import InfoMarketError, ParseError
-from .payoffs import HarmPayoffParams
 from .scenario import Scenario, format_number, load_scenario, resolve_path
-
-logger = logging.getLogger("infomarket")
 
 
 def _fmt(x) -> str:
@@ -39,6 +34,7 @@ def _require_section(scenario: Scenario, attr: str, section: str):
 
 
 def _run_equilibrium(scenario, ctx):
+    from . import market
     section = _require_section(scenario, "market", "market.fake] / [market.true")
     rows = []
     for kind, params in ((market.NewsType.FAKE, section.fake),
@@ -49,6 +45,7 @@ def _run_equilibrium(scenario, ctx):
 
 
 def _run_match(scenario, ctx):
+    from . import matching
     profile = _require_section(scenario, "matching", "matching")
     result = matching.gale_shapley(profile, proposing=matching.PROVIDERS)
     rows = []
@@ -63,6 +60,8 @@ def _run_match(scenario, ctx):
 
 
 def _run_game(scenario, ctx):
+    from . import game
+    from .payoffs import HarmPayoffParams
     section = _require_section(scenario, "game", "game")
     params = scenario.payoffs if scenario.payoffs is not None else HarmPayoffParams()
     strategies = [game.strategy_by_name(name) for name in section.strategies]
@@ -97,6 +96,7 @@ def _run_game(scenario, ctx):
 
 
 def _load_ballots(scenario, ctx):
+    from . import voting
     section = _require_section(scenario, "voting", "voting")
     ballots = voting.load_ballot_file(resolve_path(ctx["scenario_path"], section.ballots))
     candidates = sorted({c for b in ballots for c in b.ranking})
@@ -106,6 +106,7 @@ def _load_ballots(scenario, ctx):
 
 
 def _run_vote_fptp(scenario, ctx):
+    from . import voting
     _, ballots, candidates = _load_ballots(scenario, ctx)
     totals = voting.first_preference_totals(ballots, candidates)
     result = voting.fptp_winner(totals)
@@ -122,6 +123,7 @@ def _run_vote_fptp(scenario, ctx):
 
 
 def _run_vote_meek(scenario, ctx):
+    from . import voting
     section, ballots, candidates = _load_ballots(scenario, ctx)
     result = voting.meek_count(ballots, candidates, section.seats, section.tolerance)
     status = {c: "hopeful" for c in candidates}
@@ -144,6 +146,7 @@ def _run_vote_meek(scenario, ctx):
 
 
 def _run_dynamics(scenario, ctx):
+    from . import dynamics
     section = _require_section(scenario, "dynamics", "dynamics")
     rows = []
     for decay in section.decay_grid:
@@ -168,6 +171,7 @@ def _run_dynamics(scenario, ctx):
 
 
 def _run_sweep(scenario, ctx):
+    from . import analysis
     section = _require_section(scenario, "market", "market.fake] / [market.true")
     analysis_section = _require_section(scenario, "analysis", "analysis")
     grid = ctx["grid"] if ctx["grid"] is not None else analysis_section.reliability_grid
@@ -188,6 +192,7 @@ def _run_sweep(scenario, ctx):
 
 
 def _run_path(scenario, ctx):
+    from . import analysis
     section = _require_section(scenario, "analysis", "analysis")
     if not (section.graph and section.source and section.target):
         raise ParseError("[analysis] needs graph, source and target for the path subcommand")
@@ -234,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("INFOMARKET_LOG", "WARNING").upper()
-    logging.basicConfig(level=level if hasattr(logging, level) else logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
@@ -246,7 +249,6 @@ def main(argv=None) -> int:
             "scenario_path": args.scenario,
             "grid": _parse_grid(args.grid) if args.grid is not None else None,
         }
-        logger.info("running %s on scenario %s (seed %d)", args.subcommand, scenario.name, seed)
         header, rows = _RUNNERS[args.subcommand](scenario, ctx)
     except InfoMarketError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
@@ -263,7 +265,6 @@ def main(argv=None) -> int:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    logger.info("wrote %s", out_path)
     return 0
 
 

@@ -23,8 +23,8 @@ class RetentionParams:
     def __post_init__(self):
         if not 0.0 <= self.initial <= 1.0:
             raise ValueError(f"initial retention must lie in [0, 1], got {self.initial}")
-        if self.decay < 0:
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
+        if not (self.decay >= 0 and math.isfinite(self.decay)):
+            raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
 
 
 DEFAULT_DECAY_GRID = (0.1, 0.3, 0.5, 1.0)
@@ -55,10 +55,12 @@ class UtilityCurve:
     exponent: float = 2.0
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError(f"scale must be >= 0, got {self.scale}")
-        if self.family is CurveFamily.COMPOUNDING and not self.exponent > 1:
-            raise ValueError(f"exponent must be > 1, got {self.exponent}")
+        if not (self.scale >= 0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+        if self.family is CurveFamily.COMPOUNDING and not (
+            self.exponent > 1 and math.isfinite(self.exponent)
+        ):
+            raise ValueError(f"exponent must be finite and > 1, got {self.exponent}")
 
 
 def diminishing_curve(scale=1.0) -> UtilityCurve:

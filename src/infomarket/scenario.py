@@ -24,6 +24,7 @@ with 12 significant digits, and parse(serialize(s)) == s.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -281,8 +282,8 @@ def parse_scenario(text: str) -> Scenario:
         )
         if game.rounds < 1:
             raise ParseError(f"[game] rounds must be >= 1, got {game.rounds}")
-        if game.audience <= 0:
-            raise ParseError(f"[game] audience must be > 0, got {game.audience}")
+        if not (game.audience > 0 and math.isfinite(game.audience)):
+            raise ParseError(f"[game] audience must be finite and > 0, got {game.audience}")
         if game.seats < 1:
             raise ParseError(f"[game] seats must be >= 1, got {game.seats}")
 

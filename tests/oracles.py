@@ -3,7 +3,8 @@
 None of these call into the implementations they verify: the stable-matching
 enumerator checks blocking pairs itself, the Nash oracle builds best-response
 sets, the path oracle walks every simple path, and the Meek counts walk every
-ballot, one in floats and one in exact rationals. The name-keyed deferred
+ballot: one in floats, one that stops once the seats are filled, and one in
+exact rationals. The name-keyed deferred
 acceptance and route search are the kernels as they were before agents and
 nodes became list positions, kept so the position-keyed ones can be held to
 the same results bit for bit.
@@ -342,6 +343,54 @@ def meek_count_per_ballot(ballots, candidates, seats, tolerance=1e-9):
     )
 
 
+def meek_count_stop_at_fill(ballots, candidates, seats, tolerance=1e-9):
+    """Meek's method ended as Algorithm 123 ends it: once the seats are filled.
+
+    Hill, Wichmann & Woodall, Computer J. 30(3), 1987. Each iteration walks
+    every ballot, elects the hopefuls above the quota (highest total first,
+    ties toward the lower id) and stops as soon as the last seat is filled.
+    Otherwise, after an election or while a surplus exceeds ``tolerance``,
+    it lowers each elected keep factor to ``keep * quota / total``; when
+    neither holds it elects every hopeful if they just fill the seats, or
+    excludes the lowest (ties toward the lower id). ``voting.meek_count``
+    uses the same rules but goes on lowering keep factors after the seats
+    are filled.
+
+    Returns ``(winners, totals, quota, exhausted, keep)`` as the count ends.
+    """
+    ids = sorted(candidates)
+    keep = dict.fromkeys(ids, 1.0)
+    hopefuls = list(ids)
+    winners = []
+    total_weight = sum(b.weight for b in ballots)
+    for _ in range(_KEEP_ITERATION_CAP * (len(ids) + 1)):
+        totals = dict.fromkeys(ids, 0.0)
+        exhausted = 0.0
+        for ballot in ballots:
+            w = ballot.weight
+            for cand in ballot.ranking:
+                kept = w * keep[cand]
+                totals[cand] += kept
+                w -= kept
+            exhausted += w
+        quota = (total_weight - exhausted) / (seats + 1)
+        crossers = sorted((c for c in hopefuls if totals[c] > quota), key=lambda c: (-totals[c], c))
+        elected = crossers[: seats - len(winners)]
+        winners += elected
+        hopefuls = [c for c in hopefuls if c not in elected]
+        if len(winners) == seats or not hopefuls:
+            return tuple(winners), totals, quota, exhausted, keep
+        over = [c for c in winners if totals[c] > quota]
+        if elected or any(totals[c] - quota > tolerance for c in over):
+            for c in over:
+                keep[c] = keep[c] * quota / totals[c]
+        elif len(hopefuls) + len(winners) <= seats:
+            return tuple(winners + hopefuls), totals, quota, exhausted, keep
+        else:
+            lowest = min(hopefuls, key=lambda c: (totals[c], c))
+            hopefuls.remove(lowest)
+            keep[lowest] = 0.0
+    raise NonConvergence("stop-at-fill Meek count did not converge")
 
 
 def _round_up(x, grid):

@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -136,6 +137,41 @@ def test_non_finite_graph_cost_rejected(cost, tmp_path, capsys):
     assert not out.exists()
 
 
+def edited_newsroom(scenario_dir, tmp_path, old, new):
+    """newsroom.scn with one line replaced, next to copies of the files it references."""
+    for referenced in scenario_dir.glob("newsroom_*.txt"):
+        shutil.copy(referenced, tmp_path)
+    path = tmp_path / "newsroom.scn"
+    path.write_text((scenario_dir / "newsroom.scn").read_text().replace(old, new, 1))
+    return path
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_game_audience_rejected(value, scenario_dir, tmp_path, capsys):
+    path = edited_newsroom(scenario_dir, tmp_path, "audience = 100", f"audience = {value}")
+    out = tmp_path / "out"
+    assert run_cli("game", "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error [scenario]" in err and "audience must be finite and > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("diminishing_scale = 1", "diminishing_scale = nan"),
+    ("compounding_exponent = 2", "compounding_exponent = inf"),
+    ("decay_grid = 0.1 0.3 0.5 1", "decay_grid = 0.1 nan"),
+    ("decay_grid = 0.1 0.3 0.5 1", "decay_grid = inf"),
+    ("compounding_scale = 1", "compounding_scale = inf"),
+])
+def test_non_finite_dynamics_value_rejected(key, value, scenario_dir, tmp_path, capsys):
+    path = edited_newsroom(scenario_dir, tmp_path, key, value)
+    out = tmp_path / "out"
+    assert run_cli("dynamics", "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error [input]" in err and "must be finite" in err
+    assert not out.exists()
+
+
 def test_cli_import_does_not_load_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -144,6 +180,60 @@ def test_cli_import_does_not_load_numpy():
          "import infomarket.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, check=True, timeout=60,
     )
+
+
+# Subsystems each subcommand's run must not import.
+NOT_IMPORTED_BY = {
+    "equilibrium": {"game", "voting", "analysis", "dynamics"},
+    "match": {"game", "voting", "analysis", "dynamics"},
+    "vote-fptp": {"game", "analysis"},
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_run_loads_only_its_subcommands_modules(subcommand, scenario_dir, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [subcommand, "--scenario", str(scenario_dir / "newsroom.scn"), "--out", str(tmp_path)]
+    code = ("import sys; from infomarket import cli; "
+            f"assert cli.main({argv!r}) == 0; print(' '.join(sys.modules))")
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split())
+    unused = {f"infomarket.{name}" for name in NOT_IMPORTED_BY.get(subcommand, ())}
+    assert not loaded & (unused | {"logging", "numpy"})
+
+
+PACKAGE_NAMES = set("""
+    AcceptanceRule Action Ballot ConsumerParams CostSchedule CountRound CurveFamily
+    ElectionResult Equilibrium GameState HarmPayoffParams HealthCurve MarketParams
+    MarketScenario MarketState Matching NewsType PreferenceProfile ProviderParams
+    RetentionParams Scenario SegmentLabel SpreadGraph Stability StabilityReport StageGame
+    Strategy TournamentRow UtilityCurve analysis check_increment_profile comparative_sweep
+    compensation compounding_curve consumer_payoff crossover_harm diminishing_curve
+    droop_acceptance_reached droop_quota dynamics equilibrium_closed_form
+    equilibrium_numeric errors fptp_winner gale_shapley game graph_from_edges harm_payoff
+    info_marginal_contribution is_stable load_scenario marginal_contribution market
+    market_health matching max_compensation meek_count min_cost_spread_path nash_equilibria
+    parse_ballots parse_scenario payoffs play_iterated provider_payoff rankings_from_scores
+    reliability_marginal_contribution retention run_tournament scenario segment
+    segment_news serialize_scenario stability_cobweb strategy_by_name utility voting
+""".split())
+
+
+def test_lazy_package_exports_every_name():
+    import infomarket
+
+    assert len(infomarket.__all__) == 76 and set(infomarket.__all__) == PACKAGE_NAMES
+    assert set(infomarket.__all__) <= set(dir(infomarket))
+    for name in infomarket.__all__:
+        value = getattr(infomarket, name)
+        if isinstance(value, ModuleType):
+            assert value is sys.modules[f"infomarket.{name}"]
+        else:
+            assert value.__module__.startswith("infomarket.")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        infomarket.no_such_name
 
 
 def test_grid_override_changes_sweep(scenario_dir, tmp_path):

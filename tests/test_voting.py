@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import meek_count_exact, meek_count_per_ballot
+from oracles import meek_count_exact, meek_count_per_ballot, meek_count_stop_at_fill
 from infomarket.errors import (
     EmptyInput,
     InvalidSeats,
@@ -16,6 +16,7 @@ from infomarket.voting import (
     droop_quota,
     first_preference_totals,
     fptp_winner,
+    load_ballot_file,
     meek_count,
     parse_ballots,
 )
@@ -261,6 +262,36 @@ class TestMeekOracles:
             compared += 1
         assert compared >= 100
 
+
+    def test_stopping_at_the_fill_elects_the_same_winners(self):
+        rng = random.Random(123)
+        for trial in range(1000):
+            if trial % 100 == 0:
+                ballots, candidates, seats = random_election(rng, 9, 400)
+            else:
+                ballots, candidates, seats = random_election(rng)
+            assert meek_count(ballots, candidates, seats).winners == (
+                meek_count_stop_at_fill(ballots, candidates, seats)[0]
+            )
+
+    def test_stopping_at_the_fill_keeps_the_last_stage_figures(self, scenario_dir):
+        # The README's "Notes on the vote count" quotes these figures.
+        winners, totals, quota, exhausted, keep = meek_count_stop_at_fill(
+            HAND_BALLOTS, ["A", "B", "C"], 2
+        )
+        assert winners == ("A", "B") and exhausted == 0.0
+        assert quota == pytest.approx(20 / 3) and keep["A"] == pytest.approx(2 / 3)
+        assert totals == pytest.approx({"A": 20 / 3, "B": 28 / 3, "C": 4.0})
+        last = meek_count(HAND_BALLOTS, ["A", "B", "C"], 2).rounds[-1]
+        assert last.exhausted == pytest.approx(8.0) and last.quota == pytest.approx(4.0)
+
+        ballots = load_ballot_file(scenario_dir / "tight_race_ballots.txt")
+        candidates = sorted({c for b in ballots for c in b.ranking})
+        winners, totals, quota, exhausted, _ = meek_count_stop_at_fill(ballots, candidates, 1)
+        assert winners == ("north",) and (quota, exhausted) == (9.0, 2.0)
+        assert (totals["north"], totals["south"]) == (12.0, 6.0)
+        last = meek_count(ballots, candidates, 1).rounds[-1]
+        assert abs(last.totals["north"] - last.totals["south"]) < 1e-8
 
 class TestBallotParsing:
     def test_round_trip_with_comments(self):
