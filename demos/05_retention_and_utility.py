@@ -8,7 +8,6 @@ reinforce each other).
 """
 
 from infomarket.dynamics import (
-    DEFAULT_DECAY_GRID,
     RetentionParams,
     check_increment_profile,
     compounding_curve,
@@ -17,12 +16,13 @@ from infomarket.dynamics import (
     retention,
     utility,
 )
+from infomarket.scenario import DynamicsSection
 
 print("=== Retention over time ===")
 times = list(range(0, 11, 2))
 header = "decay " + "".join(f"t={t:<7}" for t in times)
 print(header)
-for decay in DEFAULT_DECAY_GRID:
+for decay in DynamicsSection().decay_grid:
     params = RetentionParams(initial=1.0, decay=decay)
     row = "".join(f"{retention(params, t):<9.4f}" for t in times)
     print(f"{decay:<6}{row}")

@@ -22,10 +22,6 @@ from .errors import InfoMarketError, ParseError
 from .scenario import Scenario, format_number, load_scenario, resolve_path
 
 
-def _fmt(x) -> str:
-    return format_number(x)
-
-
 def _require_section(scenario: Scenario, attr: str, section: str):
     value = getattr(scenario, attr)
     if value is None:
@@ -40,7 +36,7 @@ def _run_equilibrium(scenario, ctx):
     for kind, params in ((market.NewsType.FAKE, section.fake),
                          (market.NewsType.TRUE, section.true)):
         eq = market.equilibrium_closed_form(params)
-        rows.append([kind.value, _fmt(eq.price), _fmt(eq.quantity)])
+        rows.append([kind.value, format_number(eq.price), format_number(eq.quantity)])
     return ["kind", "price", "quantity"], rows
 
 
@@ -81,8 +77,8 @@ def _run_game(scenario, ctx):
             r.strategy_a,
             r.strategy_b,
             str(r.rounds),
-            _fmt(r.payoff_a),
-            _fmt(r.payoff_b),
+            format_number(r.payoff_a),
+            format_number(r.payoff_b),
             "" if r.rounds_to_quota_a is None else str(r.rounds_to_quota_a),
             "" if r.rounds_to_quota_b is None else str(r.rounds_to_quota_b),
         ]
@@ -115,7 +111,7 @@ def _run_vote_fptp(scenario, ctx):
         is_winner = cand == result.winner
         rows.append([
             cand,
-            _fmt(totals[cand]),
+            format_number(totals[cand]),
             "1" if is_winner else "0",
             "1" if is_winner and result.tied else "0",
         ])
@@ -135,10 +131,10 @@ def _run_vote_meek(scenario, ctx):
             rows.append([
                 str(round_no),
                 cand,
-                _fmt(rnd.totals[cand]),
-                _fmt(rnd.keep_factors[cand]),
-                _fmt(rnd.quota),
-                _fmt(rnd.exhausted),
+                format_number(rnd.totals[cand]),
+                format_number(rnd.keep_factors[cand]),
+                format_number(rnd.quota),
+                format_number(rnd.exhausted),
                 status[cand],
             ])
     header = ["round", "candidate", "total", "keep_factor", "quota", "exhausted", "status"]
@@ -152,7 +148,8 @@ def _run_dynamics(scenario, ctx):
     for decay in section.decay_grid:
         params = dynamics.RetentionParams(initial=section.initial_retention, decay=decay)
         for t in range(section.horizon + 1):
-            rows.append(["retention", _fmt(decay), str(t), _fmt(dynamics.retention(params, t))])
+            value = dynamics.retention(params, t)
+            rows.append(["retention", format_number(decay), str(t), format_number(value)])
     curves = (
         ("diminishing_utility", dynamics.diminishing_curve(section.diminishing_scale)),
         ("compounding_utility",
@@ -160,12 +157,12 @@ def _run_dynamics(scenario, ctx):
     )
     for label, curve in curves:
         for k in range(section.horizon + 1):
-            rows.append([label, "", str(k), _fmt(dynamics.utility(curve, k))])
+            rows.append([label, "", str(k), format_number(dynamics.utility(curve, k))])
         marginal_label = label.replace("_utility", "_marginal")
         for k in range(section.horizon):
             rows.append([
                 marginal_label, "", str(k),
-                _fmt(dynamics.info_marginal_contribution(curve, k)),
+                format_number(dynamics.info_marginal_contribution(curve, k)),
             ])
     return ["series", "parameter", "x", "value"], rows
 
@@ -183,11 +180,15 @@ def _run_sweep(scenario, ctx):
         true=analysis_section.changed_true or section.true,
     )
     before, after = analysis.comparative_sweep(base, changed, grid)
-    rows = []
-    for i, (r, h_before) in enumerate(before.points):
-        h_after = after.points[i][1]
-        marginal = "" if i == 0 else _fmt(h_after - after.points[i - 1][1])
-        rows.append([_fmt(r), _fmt(h_before), _fmt(h_after), marginal])
+    # The first point has no left neighbour, so its marginal cell is empty.
+    marginals = [""]
+    if len(grid) > 1:
+        pairs = analysis.reliability_marginal_contribution(after)
+        marginals += [format_number(m) for _, m in pairs]
+    rows = [
+        [format_number(r), format_number(h_before), format_number(h_after), marginal]
+        for (r, h_before), (_, h_after), marginal in zip(before.points, after.points, marginals)
+    ]
     return ["reliability", "health_before", "health_after", "marginal"], rows
 
 
@@ -198,7 +199,7 @@ def _run_path(scenario, ctx):
         raise ParseError("[analysis] needs graph, source and target for the path subcommand")
     graph = analysis.load_spread_graph(resolve_path(ctx["scenario_path"], section.graph))
     cost, path = analysis.min_cost_spread_path(graph, section.source, section.target)
-    return ["total_cost", "path"], [[_fmt(cost), ">".join(path)]]
+    return ["total_cost", "path"], [[format_number(cost), ">".join(path)]]
 
 
 _RUNNERS = {

@@ -27,9 +27,6 @@ class RetentionParams:
             raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
 
 
-DEFAULT_DECAY_GRID = (0.1, 0.3, 0.5, 1.0)
-
-
 def retention(params: RetentionParams, t) -> float:
     """Fraction of information still held after time t: initial * exp(-decay*t)."""
     if t < 0:

@@ -17,23 +17,26 @@ Format::
     rank.p1 = c1 > c2
     ...
 
-Sections are optional but at least one must be present. Unknown sections and
-unknown keys are rejected outright so typos fail loudly. Numbers serialize
-with 12 significant digits, and parse(serialize(s)) == s.
+Sections are optional but at least one must be present. Each section's
+dataclass declares its keys: the field names are the allowed keys, the field
+types pick the parser, the field defaults fill absent keys, and the field
+metadata holds the range rules. Unknown sections and unknown keys are
+rejected outright so typos fail loudly, every number must be finite, and a
+key that is present needs a value. Numbers serialize with 12 significant
+digits, and parse(serialize(s)) == s.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import MalformedProfile, ParseError
 from .market import MarketParams
 from .matching import PreferenceProfile
 from .payoffs import HarmPayoffParams
-
-MARKET_KEYS = ("supply_slope", "demand_intercept", "demand_slope")
 
 
 def format_number(x) -> str:
@@ -41,6 +44,16 @@ def format_number(x) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{float(x):.12g}"
+
+
+def _rule(op: str, bound, default=MISSING):
+    """A key whose parsed value must satisfy ``value <op> bound``."""
+    return field(default=default, metadata={"rule": (op, bound)})
+
+
+def _file(default=MISSING):
+    """A key naming a file, relative to the scenario file, that must exist."""
+    return field(default=default, metadata={"file": True})
 
 
 @dataclass(frozen=True)
@@ -52,19 +65,19 @@ class MarketSection:
 @dataclass(frozen=True)
 class GameSection:
     strategies: tuple[str, ...]
-    rounds: int = 10
-    harm_rule: str = "own"
-    audience: float = 100.0
-    seats: int = 2
+    rounds: int = _rule(">=", 1, default=10)
+    harm_rule: str = _rule("in", ("own", "any"), default="own")
+    audience: float = _rule(">", 0, default=100.0)
+    seats: int = _rule(">=", 1, default=2)
     true_acceptance: float = 2.0
     fake_acceptance: float = 3.0
 
 
 @dataclass(frozen=True)
 class VotingSection:
-    ballots: str
+    ballots: str = _file()
     seats: int
-    tolerance: float = 1e-9
+    tolerance: float = _rule(">=", 0, default=1e-9)
 
 
 @dataclass(frozen=True)
@@ -74,13 +87,13 @@ class DynamicsSection:
     diminishing_scale: float = 1.0
     compounding_scale: float = 1.0
     compounding_exponent: float = 2.0
-    horizon: int = 20
+    horizon: int = _rule(">=", 1, default=20)
 
 
 @dataclass(frozen=True)
 class AnalysisSection:
     reliability_grid: tuple[float, ...] = ()
-    graph: str | None = None
+    graph: str | None = _file(None)
     source: str | None = None
     target: str | None = None
     changed_fake: MarketParams | None = None
@@ -90,7 +103,7 @@ class AnalysisSection:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    seed: int = 0
+    seed: int = _rule(">=", 0, default=0)
     market: MarketSection | None = None
     payoffs: HarmPayoffParams | None = None
     matching: PreferenceProfile | None = None
@@ -112,6 +125,28 @@ _SECTIONS = (
     "analysis.changed.market.fake",
     "analysis.changed.market.true",
 )
+
+# Field type -> (token parser, whether the value is a space-separated list).
+# Fields of any other type, such as a nested section, are not keys.
+_KINDS = {
+    "float": (float, False),
+    "int": (int, False),
+    "str": (str, False),
+    "str | None": (str, False),
+    "tuple[float, ...]": (float, True),
+    "tuple[str, ...]": (str, True),
+}
+_TESTS = {">=": operator.ge, ">": operator.gt, "in": lambda value, options: value in options}
+
+
+def _kind(f) -> str:
+    # Modules without ``from __future__ import annotations`` hold the class itself.
+    return getattr(f.type, "__name__", f.type)
+
+
+def _keys(cls) -> dict:
+    """The fields of cls that are scenario keys, by name, in declaration order."""
+    return {f.name: f for f in fields(cls) if _kind(f) in _KINDS}
 
 
 def _split_sections(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
@@ -145,55 +180,52 @@ def _split_sections(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]
     return preamble, sections
 
 
-def _float(section, key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"[{section}] {key}: expected a number, got {value!r}") from None
+def _value(section: str, f, text: str):
+    """Parse one key's text by its field's type, then check its rules."""
+    if not text:
+        raise ParseError(f"[{section}] {f.name} needs a value")
+    convert, is_list = _KINDS[_kind(f)]
+    values = []
+    for token in text.split() if is_list else (text,):
+        try:
+            values.append(convert(token))
+        except ValueError:
+            expected = "an integer" if convert is int else "a number"
+            raise ParseError(f"[{section}] {f.name}: expected {expected}, got {token!r}") from None
+    op, bound = f.metadata.get("rule", (None, None))
+    for value in values:
+        if (convert is float and not math.isfinite(value)) or (op and not _TESTS[op](value, bound)):
+            need = ["finite"] if convert is float else []
+            need += [f"{op} {bound}"] if op else []
+            raise ParseError(f"[{section}] {f.name} must be {' and '.join(need)}, got {value!r}")
+    return tuple(values) if is_list else values[0]
 
 
-def _int(section, key, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"[{section}] {key}: expected an integer, got {value!r}") from None
-
-
-def _float_list(section, key, value):
-    return tuple(_float(section, key, tok) for tok in value.split())
-
-
-def _reject_unknown(section: str, data: dict, allowed) -> None:
-    unknown = set(data) - set(allowed)
+def _section(cls, section: str, data: dict, **extra):
+    """Build cls from one section's key/value text; cls's fields declare the keys."""
+    keys = _keys(cls)
+    unknown = set(data) - set(keys)
     if unknown:
         raise ParseError(f"[{section}] unknown keys: {sorted(unknown)}")
-
-
-def _require(section: str, data: dict, required) -> None:
-    missing = [k for k in required if k not in data]
+    missing = [k for k, f in keys.items() if f.default is MISSING and k not in data]
     if missing:
         raise ParseError(f"[{section}] missing keys: {missing}")
-
-
-def _market_params(section: str, data: dict) -> MarketParams:
-    _reject_unknown(section, data, MARKET_KEYS)
-    _require(section, data, MARKET_KEYS)
+    values = {k: _value(section, keys[k], text) for k, text in data.items()}
     try:
-        return MarketParams(
-            supply_slope=_float(section, "supply_slope", data["supply_slope"]),
-            demand_intercept=_float(section, "demand_intercept", data["demand_intercept"]),
-            demand_slope=_float(section, "demand_slope", data["demand_slope"]),
-        )
+        return cls(**values, **extra)
     except ValueError as exc:
         raise ParseError(f"[{section}] {exc}") from None
 
 
 def _matching_section(data: dict) -> PreferenceProfile:
-    _require("matching", data, ("providers", "consumers"))
+    missing = [k for k in ("providers", "consumers") if k not in data]
+    if missing:
+        raise ParseError(f"[matching] missing keys: {missing}")
     providers = tuple(data["providers"].split())
     consumers = tuple(data["consumers"].split())
-    allowed = {"providers", "consumers"} | {f"rank.{a}" for a in providers + consumers}
-    _reject_unknown("matching", data, allowed)
+    unknown = set(data) - {"providers", "consumers"} - {f"rank.{a}" for a in providers + consumers}
+    if unknown:
+        raise ParseError(f"[matching] unknown keys: {sorted(unknown)}")
     # Each ranking entry becomes the declared id's own str object, so the
     # profile holds one str per id and set checks and lookups hit on identity.
     declared = {a: a for a in providers + consumers}.get
@@ -222,150 +254,32 @@ def _matching_section(data: dict) -> PreferenceProfile:
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text. File-existence checks happen in load_scenario."""
     preamble, sections = _split_sections(text)
-    _reject_unknown("scenario preamble", preamble, ("name", "seed"))
-    if "name" not in preamble or not preamble["name"]:
-        raise ParseError("scenario must set 'name' before any section")
-    name = preamble["name"]
-    seed = _int("preamble", "seed", preamble.get("seed", "0"))
-    if seed < 0:
-        raise ParseError(f"seed must be >= 0, got {seed}")
+    if not sections:
+        raise ParseError("scenario has no sections; at least one is required")
 
-    market = None
-    if "market.fake" in sections or "market.true" in sections:
-        if not ("market.fake" in sections and "market.true" in sections):
-            raise ParseError("sections [market.fake] and [market.true] come as a pair")
-        market = MarketSection(
-            fake=_market_params("market.fake", sections["market.fake"]),
-            true=_market_params("market.true", sections["market.true"]),
-        )
+    def part(cls, name):
+        return _section(cls, name, sections[name]) if name in sections else None
 
-    payoffs = None
-    if "payoffs" in sections:
-        data = sections["payoffs"]
-        _reject_unknown("payoffs", data, ("fake_base", "harm_penalty", "truth_payoff"))
-        defaults = HarmPayoffParams()
-        try:
-            payoffs = HarmPayoffParams(
-                fake_base=_float("payoffs", "fake_base",
-                                 data.get("fake_base", format_number(defaults.fake_base))),
-                harm_penalty=_float("payoffs", "harm_penalty",
-                                    data.get("harm_penalty", format_number(defaults.harm_penalty))),
-                truth_payoff=_float("payoffs", "truth_payoff",
-                                    data.get("truth_payoff", format_number(defaults.truth_payoff))),
-            )
-        except ValueError as exc:
-            raise ParseError(f"[payoffs] {exc}") from None
-
-    matching = _matching_section(sections["matching"]) if "matching" in sections else None
-
-    game = None
-    if "game" in sections:
-        data = sections["game"]
-        _reject_unknown(
-            "game",
-            data,
-            ("strategies", "rounds", "harm_rule", "audience", "seats",
-             "true_acceptance", "fake_acceptance"),
-        )
-        _require("game", data, ("strategies",))
-        harm_rule = data.get("harm_rule", "own")
-        if harm_rule not in ("own", "any"):
-            raise ParseError(f"[game] harm_rule must be 'own' or 'any', got {harm_rule!r}")
-        game = GameSection(
-            strategies=tuple(data["strategies"].split()),
-            rounds=_int("game", "rounds", data.get("rounds", "10")),
-            harm_rule=harm_rule,
-            audience=_float("game", "audience", data.get("audience", "100")),
-            seats=_int("game", "seats", data.get("seats", "2")),
-            true_acceptance=_float("game", "true_acceptance", data.get("true_acceptance", "2")),
-            fake_acceptance=_float("game", "fake_acceptance", data.get("fake_acceptance", "3")),
-        )
-        if game.rounds < 1:
-            raise ParseError(f"[game] rounds must be >= 1, got {game.rounds}")
-        if not (game.audience > 0 and math.isfinite(game.audience)):
-            raise ParseError(f"[game] audience must be finite and > 0, got {game.audience}")
-        if game.seats < 1:
-            raise ParseError(f"[game] seats must be >= 1, got {game.seats}")
-
-    voting = None
-    if "voting" in sections:
-        data = sections["voting"]
-        _reject_unknown("voting", data, ("ballots", "seats", "tolerance"))
-        _require("voting", data, ("ballots", "seats"))
-        voting = VotingSection(
-            ballots=data["ballots"],
-            seats=_int("voting", "seats", data["seats"]),
-            tolerance=_float("voting", "tolerance", data.get("tolerance", "1e-09")),
-        )
-
-    dynamics = None
-    if "dynamics" in sections:
-        data = sections["dynamics"]
-        _reject_unknown(
-            "dynamics",
-            data,
-            ("initial_retention", "decay_grid", "diminishing_scale",
-             "compounding_scale", "compounding_exponent", "horizon"),
-        )
-        base = DynamicsSection()
-        dynamics = DynamicsSection(
-            initial_retention=_float("dynamics", "initial_retention",
-                                     data.get("initial_retention", "1")),
-            decay_grid=(_float_list("dynamics", "decay_grid", data["decay_grid"])
-                        if "decay_grid" in data else base.decay_grid),
-            diminishing_scale=_float("dynamics", "diminishing_scale",
-                                     data.get("diminishing_scale", "1")),
-            compounding_scale=_float("dynamics", "compounding_scale",
-                                     data.get("compounding_scale", "1")),
-            compounding_exponent=_float("dynamics", "compounding_exponent",
-                                        data.get("compounding_exponent", "2")),
-            horizon=_int("dynamics", "horizon", data.get("horizon", "20")),
-        )
-        if dynamics.horizon < 1:
-            raise ParseError(f"[dynamics] horizon must be >= 1, got {dynamics.horizon}")
-
+    fake, true = part(MarketParams, "market.fake"), part(MarketParams, "market.true")
+    if (fake is None) != (true is None):
+        raise ParseError("sections [market.fake] and [market.true] come as a pair")
     analysis = None
-    if "analysis" in sections or any(s.startswith("analysis.changed") for s in sections):
-        data = sections.get("analysis", {})
-        _reject_unknown("analysis", data, ("reliability_grid", "graph", "source", "target"))
-        changed_fake = None
-        changed_true = None
-        if "analysis.changed.market.fake" in sections:
-            changed_fake = _market_params(
-                "analysis.changed.market.fake", sections["analysis.changed.market.fake"]
-            )
-        if "analysis.changed.market.true" in sections:
-            changed_true = _market_params(
-                "analysis.changed.market.true", sections["analysis.changed.market.true"]
-            )
-        analysis = AnalysisSection(
-            reliability_grid=(_float_list("analysis", "reliability_grid",
-                                          data["reliability_grid"])
-                              if "reliability_grid" in data else ()),
-            graph=data.get("graph"),
-            source=data.get("source"),
-            target=data.get("target"),
-            changed_fake=changed_fake,
-            changed_true=changed_true,
+    if any(name.startswith("analysis") for name in sections):
+        analysis = _section(
+            AnalysisSection, "analysis", sections.get("analysis", {}),
+            changed_fake=part(MarketParams, "analysis.changed.market.fake"),
+            changed_true=part(MarketParams, "analysis.changed.market.true"),
         )
-
-    scenario = Scenario(
-        name=name,
-        seed=seed,
-        market=market,
-        payoffs=payoffs,
-        matching=matching,
-        game=game,
-        voting=voting,
-        dynamics=dynamics,
+    return _section(
+        Scenario, "preamble", preamble,
+        market=None if fake is None else MarketSection(fake, true),
+        payoffs=part(HarmPayoffParams, "payoffs"),
+        matching=_matching_section(sections["matching"]) if "matching" in sections else None,
+        game=part(GameSection, "game"),
+        voting=part(VotingSection, "voting"),
+        dynamics=part(DynamicsSection, "dynamics"),
         analysis=analysis,
     )
-    if all(
-        getattr(scenario, field) is None
-        for field in ("market", "payoffs", "matching", "game", "voting", "dynamics", "analysis")
-    ):
-        raise ParseError("scenario has no sections; at least one is required")
-    return scenario
 
 
 def load_scenario(path) -> Scenario:
@@ -373,12 +287,12 @@ def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as f:
         scenario = parse_scenario(f.read())
     base = os.path.dirname(os.path.abspath(path))
-    for ref in (
-        scenario.voting.ballots if scenario.voting else None,
-        scenario.analysis.graph if scenario.analysis else None,
-    ):
-        if ref is not None and not os.path.exists(os.path.join(base, ref)):
-            raise ParseError(f"referenced file not found: {ref!r} (relative to {base})")
+    for section in (scenario.voting, scenario.analysis):
+        for f in fields(section) if section is not None else ():
+            ref = getattr(section, f.name)
+            if f.metadata.get("file") and ref is not None:
+                if not os.path.exists(os.path.join(base, ref)):
+                    raise ParseError(f"referenced file not found: {ref!r} (relative to {base})")
     return scenario
 
 
@@ -387,93 +301,33 @@ def resolve_path(scenario_path, ref: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(scenario_path)), ref)
 
 
-def _market_lines(section: str, params: MarketParams) -> list[str]:
-    return [
-        f"[{section}]",
-        f"supply_slope = {format_number(params.supply_slope)}",
-        f"demand_intercept = {format_number(params.demand_intercept)}",
-        f"demand_slope = {format_number(params.demand_slope)}",
-        "",
-    ]
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_render(v) for v in value)
+    return value if isinstance(value, str) else format_number(value)
+
+
+def _key_lines(section) -> list[str]:
+    """One ``key = value`` line per set key; None and () mean "not set"."""
+    values = ((k, getattr(section, k)) for k in _keys(type(section)))
+    return [f"{k} = {_render(v)}" for k, v in values if v is not None and v != ()]
+
+
+def _matching_lines(m: PreferenceProfile) -> list[str]:
+    lines = [f"providers = {' '.join(m.providers)}", f"consumers = {' '.join(m.consumers)}"]
+    lines += [f"rank.{p} = {' > '.join(m.provider_prefs[p])}" for p in m.providers]
+    lines += [f"rank.{c} = {' > '.join(m.consumer_prefs[c])}" for c in m.consumers]
+    return lines
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario in canonical section and key order."""
-    lines = [f"name = {scenario.name}", f"seed = {scenario.seed}", ""]
-    if scenario.market:
-        lines += _market_lines("market.fake", scenario.market.fake)
-        lines += _market_lines("market.true", scenario.market.true)
-    if scenario.payoffs:
-        p = scenario.payoffs
-        lines += [
-            "[payoffs]",
-            f"fake_base = {format_number(p.fake_base)}",
-            f"harm_penalty = {format_number(p.harm_penalty)}",
-            f"truth_payoff = {format_number(p.truth_payoff)}",
-            "",
-        ]
-    if scenario.matching:
-        m = scenario.matching
-        lines += [
-            "[matching]",
-            f"providers = {' '.join(m.providers)}",
-            f"consumers = {' '.join(m.consumers)}",
-        ]
-        for p in m.providers:
-            lines.append(f"rank.{p} = {' > '.join(m.provider_prefs[p])}")
-        for c in m.consumers:
-            lines.append(f"rank.{c} = {' > '.join(m.consumer_prefs[c])}")
-        lines.append("")
-    if scenario.game:
-        g = scenario.game
-        lines += [
-            "[game]",
-            f"strategies = {' '.join(g.strategies)}",
-            f"rounds = {g.rounds}",
-            f"harm_rule = {g.harm_rule}",
-            f"audience = {format_number(g.audience)}",
-            f"seats = {g.seats}",
-            f"true_acceptance = {format_number(g.true_acceptance)}",
-            f"fake_acceptance = {format_number(g.fake_acceptance)}",
-            "",
-        ]
-    if scenario.voting:
-        v = scenario.voting
-        lines += [
-            "[voting]",
-            f"ballots = {v.ballots}",
-            f"seats = {v.seats}",
-            f"tolerance = {format_number(v.tolerance)}",
-            "",
-        ]
-    if scenario.dynamics:
-        d = scenario.dynamics
-        lines += [
-            "[dynamics]",
-            f"initial_retention = {format_number(d.initial_retention)}",
-            f"decay_grid = {' '.join(format_number(x) for x in d.decay_grid)}",
-            f"diminishing_scale = {format_number(d.diminishing_scale)}",
-            f"compounding_scale = {format_number(d.compounding_scale)}",
-            f"compounding_exponent = {format_number(d.compounding_exponent)}",
-            f"horizon = {d.horizon}",
-            "",
-        ]
-    if scenario.analysis:
-        a = scenario.analysis
-        lines.append("[analysis]")
-        if a.reliability_grid:
-            lines.append(
-                f"reliability_grid = {' '.join(format_number(x) for x in a.reliability_grid)}"
-            )
-        if a.graph is not None:
-            lines.append(f"graph = {a.graph}")
-        if a.source is not None:
-            lines.append(f"source = {a.source}")
-        if a.target is not None:
-            lines.append(f"target = {a.target}")
-        lines.append("")
-        if a.changed_fake is not None:
-            lines += _market_lines("analysis.changed.market.fake", a.changed_fake)
-        if a.changed_true is not None:
-            lines += _market_lines("analysis.changed.market.true", a.changed_true)
+    s, m, a = scenario, scenario.market, scenario.analysis
+    values = (m and m.fake, m and m.true, s.payoffs, s.matching, s.game, s.voting,
+              s.dynamics, a, a and a.changed_fake, a and a.changed_true)
+    lines = _key_lines(s) + [""]
+    for name, section in zip(_SECTIONS, values):
+        if section is not None:
+            body = _matching_lines(section) if name == "matching" else _key_lines(section)
+            lines += [f"[{name}]", *body, ""]
     return "\n".join(lines).rstrip("\n") + "\n"

@@ -121,7 +121,7 @@ def test_bad_voting_tolerance_rejected(value, scenario_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("vote-meek", "--scenario", str(path), "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "error [input]" in err and "tolerance must be finite and >= 0" in err
+    assert "error [scenario]" in err and "tolerance must be finite and >= 0" in err
     assert not out.exists()
 
 
@@ -168,7 +168,40 @@ def test_non_finite_dynamics_value_rejected(key, value, scenario_dir, tmp_path, 
     out = tmp_path / "out"
     assert run_cli("dynamics", "--scenario", str(path), "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "error [input]" in err and "must be finite" in err
+    assert "error [scenario]" in err and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, old, new, message", [
+    ("game", "fake_base = 5", "fake_base = nan", "[payoffs] fake_base must be finite"),
+    ("game", "truth_payoff = 3", "truth_payoff = inf", "[payoffs] truth_payoff must be finite"),
+    ("game", "true_acceptance = 2", "true_acceptance = nan",
+     "[game] true_acceptance must be finite"),
+])
+def test_non_finite_scenario_number_rejected(
+    subcommand, old, new, message, scenario_dir, tmp_path, capsys
+):
+    path = edited_newsroom(scenario_dir, tmp_path, old, new)
+    out = tmp_path / "out"
+    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error [scenario]" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, old, section, key", [
+    ("game", "strategies = AlwaysTrue AlwaysFake TitForTat GrimTrigger", "game", "strategies"),
+    ("dynamics", "decay_grid = 0.1 0.3 0.5 1", "dynamics", "decay_grid"),
+    ("vote-meek", "ballots = newsroom_ballots.txt", "voting", "ballots"),
+])
+def test_empty_scenario_value_rejected(
+    subcommand, old, section, key, scenario_dir, tmp_path, capsys
+):
+    path = edited_newsroom(scenario_dir, tmp_path, old, f"{key} =")
+    out = tmp_path / "out"
+    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error [scenario]" in err and f"[{section}] {key} needs a value" in err
     assert not out.exists()
 
 
@@ -242,6 +275,15 @@ def test_grid_override_changes_sweep(scenario_dir, tmp_path):
                    "--grid", "0.25,0.75") == 0
     lines = (tmp_path / "newsroom_sweep.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.75"]
+
+
+def test_one_point_grid_sweep_has_no_marginal(scenario_dir, tmp_path):
+    scenario = scenario_dir / "newsroom.scn"
+    assert run_cli("sweep", "--scenario", str(scenario), "--out", str(tmp_path),
+                   "--grid", "0.5") == 0
+    lines = (tmp_path / "newsroom_sweep.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("0.5,") and lines[1].endswith(",")
 
 
 def test_seed_override_accepted(scenario_dir, tmp_path):

@@ -1,0 +1,164 @@
+"""Property tests: scenario round trips, and malformed input fails only cleanly."""
+
+import string
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infomarket.analysis import parse_spread_graph
+from infomarket.errors import InfoMarketError
+from infomarket.market import MarketParams
+from infomarket.matching import PreferenceProfile
+from infomarket.payoffs import HarmPayoffParams
+from infomarket.scenario import (
+    AnalysisSection,
+    DynamicsSection,
+    GameSection,
+    MarketSection,
+    Scenario,
+    VotingSection,
+    format_number,
+    parse_scenario,
+    serialize_scenario,
+)
+from infomarket.voting import parse_ballots
+
+# Numbers go through format_number, so each one survives its own rendering.
+numbers = st.floats(-1e6, 1e6).map(lambda x: float(format_number(x)))
+positives = st.floats(1e-6, 1e6).map(lambda x: float(format_number(x)))
+counts = st.integers(1, 10**6)
+ids = st.from_regex(r"[a-z][a-z0-9_.]{0,7}", fullmatch=True)
+markets = st.builds(MarketParams, positives, numbers, positives)
+
+
+@st.composite
+def profiles(draw):
+    agents = draw(st.lists(ids, min_size=2, max_size=8, unique=True))
+    cut = draw(st.integers(1, len(agents) - 1))
+    providers, consumers = tuple(agents[:cut]), tuple(agents[cut:])
+    return PreferenceProfile(
+        providers=providers,
+        consumers=consumers,
+        provider_prefs={p: tuple(draw(st.permutations(consumers))) for p in providers},
+        consumer_prefs={c: tuple(draw(st.permutations(providers))) for c in consumers},
+    )
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+scenarios = st.builds(
+    Scenario,
+    name=ids,
+    seed=st.integers(0, 10**9),
+    market=optional(st.builds(MarketSection, markets, markets)),
+    payoffs=optional(st.builds(HarmPayoffParams, numbers, positives, numbers)),
+    matching=optional(profiles()),
+    game=optional(st.builds(
+        GameSection,
+        strategies=st.lists(ids, min_size=1, max_size=4).map(tuple),
+        rounds=counts,
+        harm_rule=st.sampled_from(["own", "any"]),
+        audience=positives,
+        seats=counts,
+        true_acceptance=numbers,
+        fake_acceptance=numbers,
+    )),
+    voting=optional(st.builds(
+        VotingSection, ballots=ids, seats=st.integers(-3, 50), tolerance=positives | st.just(0.0),
+    )),
+    dynamics=optional(st.builds(
+        DynamicsSection,
+        initial_retention=numbers,
+        decay_grid=st.lists(numbers, min_size=1, max_size=5).map(tuple),
+        diminishing_scale=numbers,
+        compounding_scale=numbers,
+        compounding_exponent=numbers,
+        horizon=counts,
+    )),
+    analysis=optional(st.builds(
+        AnalysisSection,
+        reliability_grid=st.lists(numbers, max_size=5).map(tuple),
+        graph=optional(ids),
+        source=optional(ids),
+        target=optional(ids),
+        changed_fake=optional(markets),
+        changed_true=optional(markets),
+    )),
+).filter(lambda s: any(
+    getattr(s, section) is not None
+    for section in ("market", "payoffs", "matching", "game", "voting", "dynamics", "analysis")
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios)
+def test_parse_inverts_serialize(scenario):
+    text = serialize_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert serialize_scenario(parse_scenario(text)) == text
+
+
+# Fragments that a malformed file mixes: real and bogus headers, known keys,
+# and values that are empty, non-finite, out of range, huge or not numbers.
+HEADERS = ["[market.fake]", "[market.true]", "[payoffs]", "[matching]", "[game]", "[voting]",
+           "[dynamics]", "[analysis]", "[analysis.changed.market.true]", "[nope]", "[", "]"]
+KEYS = ["name", "seed", "supply_slope", "demand_intercept", "demand_slope", "fake_base",
+        "harm_penalty", "providers", "consumers", "rank.p", "rank.c", "strategies", "rounds",
+        "harm_rule", "audience", "seats", "ballots", "tolerance", "decay_grid", "horizon",
+        "reliability_grid", "graph", "source", "target", "", "bogus"]
+VALUES = ["", "0", "1", "-1", "2.5", "nan", "-inf", "1e999", "1" * 5000, "x", "own", "p",
+          "c", "p > c", "c >", "> p", "p c", "1 2 nan", "0 0.5 1", "#", "=", "==", "AlwaysTrue"]
+lines = st.one_of(
+    st.sampled_from(HEADERS),
+    st.builds("{} = {}".format, st.sampled_from(KEYS), st.sampled_from(VALUES)),
+    st.text(string.printable, max_size=20),
+)
+texts = st.lists(lines, max_size=25).map("\n".join) | st.text(max_size=200)
+
+
+def fails_cleanly(parse, text):
+    try:
+        parse(text)
+    except InfoMarketError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts)
+def test_malformed_scenario_text_raises_only_package_errors(text):
+    fails_cleanly(parse_scenario, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios, st.data())
+def test_corrupted_scenario_value_raises_only_package_errors(scenario, data):
+    rows = serialize_scenario(scenario).splitlines()
+    keyed = [i for i, row in enumerate(rows) if " = " in row]
+    i = data.draw(st.sampled_from(keyed))
+    rows[i] = f"{rows[i].split(' = ')[0]} = {data.draw(st.sampled_from(VALUES))}"
+    fails_cleanly(parse_scenario, "\n".join(rows))
+
+
+ballot_lines = st.one_of(
+    st.builds("{} : {}".format, st.sampled_from(VALUES), st.sampled_from(VALUES)),
+    st.text(string.printable, max_size=20),
+)
+graph_lines = st.one_of(
+    st.builds("{} {} {}".format, st.sampled_from(VALUES), st.sampled_from(VALUES),
+              st.sampled_from(VALUES)),
+    st.text(string.printable, max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ballot_lines, max_size=10) | st.text(max_size=200).map(str.splitlines))
+def test_malformed_ballot_text_raises_only_package_errors(rows):
+    fails_cleanly(parse_ballots, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(graph_lines, max_size=10) | st.text(max_size=200).map(str.splitlines))
+def test_malformed_graph_text_raises_only_package_errors(rows):
+    fails_cleanly(parse_spread_graph, rows)
