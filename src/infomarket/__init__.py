@@ -17,9 +17,9 @@ import importlib
 # The public names each submodule exports through the package.
 _EXPORTS = {
     "analysis": (
-        "HealthCurve", "MarketScenario", "MarketState", "SpreadGraph",
-        "comparative_sweep", "graph_from_edges", "market_health",
-        "min_cost_spread_path", "reliability_marginal_contribution",
+        "HealthCurve", "MarketState", "SpreadGraph", "comparative_sweep",
+        "graph_from_edges", "market_health", "min_cost_spread_path",
+        "reliability_marginal_contribution",
     ),
     "dynamics": (
         "CurveFamily", "RetentionParams", "UtilityCurve", "check_increment_profile",
@@ -33,8 +33,9 @@ _EXPORTS = {
         "nash_equilibria", "play_iterated", "run_tournament", "strategy_by_name",
     ),
     "market": (
-        "Equilibrium", "MarketParams", "NewsType", "Stability", "StabilityReport",
-        "equilibrium_closed_form", "equilibrium_numeric", "stability_cobweb",
+        "Equilibrium", "MarketParams", "MarketScenario", "NewsType", "Stability",
+        "StabilityReport", "equilibrium_closed_form", "equilibrium_numeric",
+        "stability_cobweb",
     ),
     "matching": (
         "Matching", "PreferenceProfile", "SegmentLabel", "gale_shapley", "is_stable",

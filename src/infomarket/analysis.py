@@ -21,7 +21,7 @@ from .errors import (
     TooFewPoints,
     Unreachable,
 )
-from .market import Equilibrium, MarketParams, equilibrium_closed_form
+from .market import Equilibrium, MarketParams, MarketScenario, equilibrium_closed_form
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,6 @@ class HealthCurve:
     @property
     def scores(self):
         return tuple(h for _, h in self.points)
-
-
-@dataclass(frozen=True)
-class MarketScenario:
-    """Linear market coefficients for both news types."""
-
-    fake: MarketParams
-    true: MarketParams
 
 
 def market_health(state: MarketState):

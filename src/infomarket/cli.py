@@ -169,15 +169,14 @@ def _run_dynamics(scenario, ctx):
 
 def _run_sweep(scenario, ctx):
     from . import analysis
-    section = _require_section(scenario, "market", "market.fake] / [market.true")
+    base = _require_section(scenario, "market", "market.fake] / [market.true")
     analysis_section = _require_section(scenario, "analysis", "analysis")
     grid = ctx["grid"] if ctx["grid"] is not None else analysis_section.reliability_grid
     if not grid:
         raise ParseError("no reliability grid: set [analysis] reliability_grid or pass --grid")
-    base = analysis.MarketScenario(fake=section.fake, true=section.true)
     changed = analysis.MarketScenario(
-        fake=analysis_section.changed_fake or section.fake,
-        true=analysis_section.changed_true or section.true,
+        fake=analysis_section.changed_fake or base.fake,
+        true=analysis_section.changed_true or base.true,
     )
     before, after = analysis.comparative_sweep(base, changed, grid)
     # The first point has no left neighbour, so its marginal cell is empty.

@@ -8,7 +8,9 @@ rules marks the point where a player's output counts as common knowledge.
 Stage games can be scanned exhaustively for pure equilibria.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyInput
@@ -157,11 +159,12 @@ def play_iterated(
                 harm[i] += float(fakes_in_round)
             acceptance[i] += acceptance_rule.gain(actions[i])
             acc_trace[i].append(acceptance[i])
+    # Payoffs total by a left fold, not sum(): from Python 3.12 sum() compensates float sums.
     return GameState(
         round=rounds,
         histories=(tuple(histories[0]), tuple(histories[1])),
         harm=(harm[0], harm[1]),
-        cumulative_payoffs=(sum(payoffs[0]), sum(payoffs[1])),
+        cumulative_payoffs=tuple(reduce(operator.add, p, 0) for p in payoffs),
         acceptance=(acceptance[0], acceptance[1]),
         round_payoffs=(tuple(payoffs[0]), tuple(payoffs[1])),
         acceptance_trace=(tuple(acc_trace[0]), tuple(acc_trace[1])),

@@ -58,6 +58,14 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
+class MarketScenario:
+    """Linear market coefficients for both news types."""
+
+    fake: MarketParams
+    true: MarketParams
+
+
+@dataclass(frozen=True)
 class Equilibrium:
     """A cleared market: ``supply(price) == demand(price) == quantity``."""
 

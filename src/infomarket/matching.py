@@ -31,7 +31,9 @@ class PreferenceProfile:
 
     Every provider ranks all consumers and vice versa. Sides may have
     different sizes; agents left unmatched by the deferred-acceptance run
-    implicitly rank being unmatched below every listed partner.
+    implicitly rank being unmatched below every listed partner. Building a
+    profile whose rankings are not complete strict permutations raises
+    MalformedProfile.
     """
 
     providers: tuple[str, ...]
@@ -52,17 +54,15 @@ class PreferenceProfile:
             "consumer_prefs",
             {c: tuple(r) for c, r in self.consumer_prefs.items()},
         )
-
-    def validate(self):
-        """Raise MalformedProfile unless rankings are complete strict permutations."""
-        if len(set(self.providers)) != len(self.providers):
+        providers, consumers = set(self.providers), set(self.consumers)
+        if len(providers) != len(self.providers):
             raise MalformedProfile("duplicate provider ids")
-        if len(set(self.consumers)) != len(self.consumers):
+        if len(consumers) != len(self.consumers):
             raise MalformedProfile("duplicate consumer ids")
-        if set(self.providers) & set(self.consumers):
+        if providers & consumers:
             raise MalformedProfile("ids shared between sides")
-        _check_rankings(self.provider_prefs, set(self.providers), set(self.consumers), "provider")
-        _check_rankings(self.consumer_prefs, set(self.consumers), set(self.providers), "consumer")
+        _check_rankings(self.provider_prefs, providers, consumers, "provider")
+        _check_rankings(self.consumer_prefs, consumers, providers, "consumer")
 
     def without_provider(self, provider: str) -> "PreferenceProfile":
         """Copy of the profile with one provider removed everywhere."""
@@ -128,11 +128,7 @@ def gale_shapley(profile: PreferenceProfile, proposing: str = PROVIDERS) -> Matc
     tentative partner only if the receiver strictly prefers the newcomer.
     The result is stable and optimal for the proposing side, and is
     deterministic: free proposers are processed in their listed order.
-
-    Raises:
-        MalformedProfile: rankings are not complete strict permutations.
     """
-    profile.validate()
     if proposing == PROVIDERS:
         proposers, receivers = profile.providers, profile.consumers
         proposer_prefs, receiver_prefs = profile.provider_prefs, profile.consumer_prefs
@@ -184,7 +180,6 @@ def is_stable(matching: Matching, profile: PreferenceProfile) -> StabilityCheck:
     A provider and consumer block when each strictly prefers the other to
     their assigned partner, with being unmatched ranked below everyone.
     """
-    profile.validate()
     _check_matching(matching, profile)
     provider_rank = {
         p: {c: i for i, c in enumerate(r)} for p, r in profile.provider_prefs.items()

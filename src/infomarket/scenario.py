@@ -26,15 +26,13 @@ key that is present needs a value. Numbers serialize with 12 significant
 digits, and parse(serialize(s)) == s.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import MalformedProfile, ParseError
-from .market import MarketParams
+from .market import MarketParams, MarketScenario
 from .matching import PreferenceProfile
 from .payoffs import HarmPayoffParams
 
@@ -46,20 +44,14 @@ def format_number(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _rule(op: str, bound, default=MISSING):
-    """A key whose parsed value must satisfy ``value <op> bound``."""
-    return field(default=default, metadata={"rule": (op, bound)})
+def _rule(*rules, default=MISSING):
+    """A key whose value must satisfy each ``value <op> bound``; rules alternate op, bound."""
+    return field(default=default, metadata={"rules": tuple(zip(rules[::2], rules[1::2]))})
 
 
 def _file(default=MISSING):
     """A key naming a file, relative to the scenario file, that must exist."""
     return field(default=default, metadata={"file": True})
-
-
-@dataclass(frozen=True)
-class MarketSection:
-    fake: MarketParams
-    true: MarketParams
 
 
 @dataclass(frozen=True)
@@ -82,11 +74,11 @@ class VotingSection:
 
 @dataclass(frozen=True)
 class DynamicsSection:
-    initial_retention: float = 1.0
-    decay_grid: tuple[float, ...] = (0.1, 0.3, 0.5, 1.0)
-    diminishing_scale: float = 1.0
-    compounding_scale: float = 1.0
-    compounding_exponent: float = 2.0
+    initial_retention: float = _rule(">=", 0, "<=", 1, default=1.0)
+    decay_grid: tuple[float, ...] = _rule(">=", 0, default=(0.1, 0.3, 0.5, 1.0))
+    diminishing_scale: float = _rule(">=", 0, default=1.0)
+    compounding_scale: float = _rule(">=", 0, default=1.0)
+    compounding_exponent: float = _rule(">", 1, default=2.0)
     horizon: int = _rule(">=", 1, default=20)
 
 
@@ -104,7 +96,7 @@ class AnalysisSection:
 class Scenario:
     name: str
     seed: int = _rule(">=", 0, default=0)
-    market: MarketSection | None = None
+    market: MarketScenario | None = None
     payoffs: HarmPayoffParams | None = None
     matching: PreferenceProfile | None = None
     game: GameSection | None = None
@@ -127,26 +119,23 @@ _SECTIONS = (
 )
 
 # Field type -> (token parser, whether the value is a space-separated list).
-# Fields of any other type, such as a nested section, are not keys.
+# Fields of any other type, such as a nested section, are not keys. Section
+# modules keep class annotations (no ``from __future__ import annotations``).
 _KINDS = {
-    "float": (float, False),
-    "int": (int, False),
-    "str": (str, False),
-    "str | None": (str, False),
-    "tuple[float, ...]": (float, True),
-    "tuple[str, ...]": (str, True),
+    float: (float, False),
+    int: (int, False),
+    str: (str, False),
+    str | None: (str, False),
+    tuple[float, ...]: (float, True),
+    tuple[str, ...]: (str, True),
 }
-_TESTS = {">=": operator.ge, ">": operator.gt, "in": lambda value, options: value in options}
-
-
-def _kind(f) -> str:
-    # Modules without ``from __future__ import annotations`` hold the class itself.
-    return getattr(f.type, "__name__", f.type)
+_TESTS = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+          "in": lambda value, options: value in options}
 
 
 def _keys(cls) -> dict:
     """The fields of cls that are scenario keys, by name, in declaration order."""
-    return {f.name: f for f in fields(cls) if _kind(f) in _KINDS}
+    return {f.name: f for f in fields(cls) if f.type in _KINDS}
 
 
 def _split_sections(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
@@ -184,7 +173,7 @@ def _value(section: str, f, text: str):
     """Parse one key's text by its field's type, then check its rules."""
     if not text:
         raise ParseError(f"[{section}] {f.name} needs a value")
-    convert, is_list = _KINDS[_kind(f)]
+    convert, is_list = _KINDS[f.type]
     values = []
     for token in text.split() if is_list else (text,):
         try:
@@ -192,11 +181,12 @@ def _value(section: str, f, text: str):
         except ValueError:
             expected = "an integer" if convert is int else "a number"
             raise ParseError(f"[{section}] {f.name}: expected {expected}, got {token!r}") from None
-    op, bound = f.metadata.get("rule", (None, None))
+    rules = f.metadata.get("rules", ())
     for value in values:
-        if (convert is float and not math.isfinite(value)) or (op and not _TESTS[op](value, bound)):
+        finite = convert is not float or math.isfinite(value)
+        if not finite or (rules and not all(_TESTS[op](value, bound) for op, bound in rules)):
             need = ["finite"] if convert is float else []
-            need += [f"{op} {bound}"] if op else []
+            need += [f"{op} {bound}" for op, bound in rules]
             raise ParseError(f"[{section}] {f.name} must be {' and '.join(need)}, got {value!r}")
     return tuple(values) if is_list else values[0]
 
@@ -238,17 +228,15 @@ def _matching_section(data: dict) -> PreferenceProfile:
         if "" in ranking:
             raise ParseError(f"[matching] {key}: empty id in ranking")
         ranks[agent] = tuple([declared(tok, tok) for tok in ranking])
-    profile = PreferenceProfile(
-        providers=providers,
-        consumers=consumers,
-        provider_prefs={p: ranks[p] for p in providers},
-        consumer_prefs={c: ranks[c] for c in consumers},
-    )
     try:
-        profile.validate()
+        return PreferenceProfile(
+            providers=providers,
+            consumers=consumers,
+            provider_prefs={p: ranks[p] for p in providers},
+            consumer_prefs={c: ranks[c] for c in consumers},
+        )
     except MalformedProfile as exc:
         raise ParseError(f"[matching] {exc}") from None
-    return profile
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -272,7 +260,7 @@ def parse_scenario(text: str) -> Scenario:
         )
     return _section(
         Scenario, "preamble", preamble,
-        market=None if fake is None else MarketSection(fake, true),
+        market=None if fake is None else MarketScenario(fake, true),
         payoffs=part(HarmPayoffParams, "payoffs"),
         matching=_matching_section(sections["matching"]) if "matching" in sections else None,
         game=part(GameSection, "game"),

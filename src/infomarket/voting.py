@@ -253,7 +253,8 @@ def meek_count(
 
     status = {c: _Status.HOPEFUL for c in ids}
     keep = {c: 1.0 for c in ids}
-    total_weight = sum(b.weight for b in ballots)
+    # A left fold, not sum(): from Python 3.12 sum() compensates float sums.
+    total_weight = reduce(operator.add, (b.weight for b in ballots), 0)
     winners: list[str] = []
     rounds: list[CountRound] = []
     tally = _PathTally(ballots, ids)

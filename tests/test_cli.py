@@ -172,6 +172,32 @@ def test_non_finite_dynamics_value_rejected(key, value, scenario_dir, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("initial_retention = 1", "initial_retention = 2",
+     "[dynamics] initial_retention must be finite and >= 0 and <= 1, got 2.0"),
+    ("initial_retention = 1", "initial_retention = -0.5",
+     "[dynamics] initial_retention must be finite and >= 0 and <= 1, got -0.5"),
+    ("decay_grid = 0.1 0.3 0.5 1", "decay_grid = 0.1 -1",
+     "[dynamics] decay_grid must be finite and >= 0, got -1.0"),
+    ("diminishing_scale = 1", "diminishing_scale = -1",
+     "[dynamics] diminishing_scale must be finite and >= 0, got -1.0"),
+    ("compounding_scale = 1", "compounding_scale = -1",
+     "[dynamics] compounding_scale must be finite and >= 0, got -1.0"),
+    ("compounding_exponent = 2", "compounding_exponent = 1",
+     "[dynamics] compounding_exponent must be finite and > 1, got 1.0"),
+])
+def test_out_of_range_dynamics_value_rejected_at_parse(
+    old, new, message, scenario_dir, tmp_path, capsys
+):
+    path = edited_newsroom(scenario_dir, tmp_path, old, new)
+    out = tmp_path / "out"
+    for subcommand in ("dynamics", "equilibrium"):
+        assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [scenario]") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand, old, new, message", [
     ("game", "fake_base = 5", "fake_base = nan", "[payoffs] fake_base must be finite"),
     ("game", "truth_payoff = 3", "truth_payoff = inf", "[payoffs] truth_payoff must be finite"),

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,16 @@ def test_mutual_truth_keeps_harm_at_zero():
     assert state.cumulative_payoffs == (15, 15)
     assert state.harm == (0, 0)
     assert state.round_payoffs[0] == (3, 3, 3, 3, 3)
+
+
+def test_cumulative_payoff_is_a_left_fold():
+    # Ten 0.1 payoffs fold to 0.9999999999999999; a compensated sum gives 1.0.
+    players = (always_true(), always_true())
+    state = play_iterated(players, HarmPayoffParams(truth_payoff=0.1), rounds=10)
+    assert state.cumulative_payoffs == (0.9999999999999999, 0.9999999999999999)
+    exact = play_iterated(players, HarmPayoffParams(truth_payoff=Fraction(1, 10)), rounds=10)
+    assert exact.cumulative_payoffs == (1, 1)
+    assert all(type(total) is Fraction for total in exact.cumulative_payoffs)
 
 
 def test_always_fake_payoff_sequence():

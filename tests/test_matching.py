@@ -203,22 +203,54 @@ def test_marginal_contribution_unknown_id():
 
 
 def test_malformed_profiles_rejected():
-    bad_incomplete = PreferenceProfile(
-        providers=("p1", "p2"),
-        consumers=("c1", "c2"),
-        provider_prefs={"p1": ("c1",), "p2": ("c1", "c2")},
-        consumer_prefs={"c1": ("p1", "p2"), "c2": ("p1", "p2")},
-    )
     with pytest.raises(MalformedProfile):
-        gale_shapley(bad_incomplete)
-    bad_duplicate = PreferenceProfile(
-        providers=("p1",),
-        consumers=("c1", "c2"),
-        provider_prefs={"p1": ("c1", "c1")},
-        consumer_prefs={"c1": ("p1",), "c2": ("p1",)},
-    )
+        gale_shapley(PreferenceProfile(
+            providers=("p1", "p2"),
+            consumers=("c1", "c2"),
+            provider_prefs={"p1": ("c1",), "p2": ("c1", "c2")},
+            consumer_prefs={"c1": ("p1", "p2"), "c2": ("p1", "p2")},
+        ))
     with pytest.raises(MalformedProfile):
-        gale_shapley(bad_duplicate)
+        gale_shapley(PreferenceProfile(
+            providers=("p1",),
+            consumers=("c1", "c2"),
+            provider_prefs={"p1": ("c1", "c1")},
+            consumer_prefs={"c1": ("p1",), "c2": ("p1",)},
+        ))
+
+
+# One case per check a profile runs when it is built, with the message it gives.
+MALFORMED_PROFILES = {
+    "duplicate provider ids": (
+        ("p1", "p1"), ("c1",), {"p1": ("c1",)}, {"c1": ("p1", "p1")},
+    ),
+    "duplicate consumer ids": (
+        ("p1",), ("c1", "c1"), {"p1": ("c1", "c1")}, {"c1": ("p1",)},
+    ),
+    "ids shared between sides": (
+        ("a", "p2"), ("a", "c2"),
+        {"a": ("a", "c2"), "p2": ("a", "c2")}, {"a": ("a", "p2"), "c2": ("a", "p2")},
+    ),
+    "provider rankings do not cover the side exactly": (
+        ("p1", "p2"), ("c1",), {"p1": ("c1",)}, {"c1": ("p1", "p2")},
+    ),
+    "consumer rankings do not cover the side exactly": (
+        ("p1",), ("c1",), {"p1": ("c1",)}, {"c1": ("p1",), "c9": ("p1",)},
+    ),
+    "provider 'p1' ranking repeats an id": (
+        ("p1",), ("c1", "c2"), {"p1": ("c1", "c1")}, {"c1": ("p1",), "c2": ("p1",)},
+    ),
+    "consumer 'c1' ranking is not a permutation": (
+        ("p1", "p2"), ("c1",), {"p1": ("c1",), "p2": ("c1",)}, {"c1": ("p1", "p3")},
+    ),
+}
+
+
+@pytest.mark.parametrize("message", MALFORMED_PROFILES)
+def test_profile_rejects_malformed_rankings_when_built(message):
+    providers, consumers, provider_prefs, consumer_prefs = MALFORMED_PROFILES[message]
+    with pytest.raises(MalformedProfile, match=message):
+        PreferenceProfile(providers, consumers, provider_prefs, consumer_prefs)
 
 
 def test_segment_round_trip():

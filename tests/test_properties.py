@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from infomarket.analysis import parse_spread_graph
 from infomarket.errors import InfoMarketError
-from infomarket.market import MarketParams
+from infomarket.market import MarketParams, MarketScenario
 from infomarket.matching import PreferenceProfile
 from infomarket.payoffs import HarmPayoffParams
 from infomarket.scenario import (
     AnalysisSection,
     DynamicsSection,
     GameSection,
-    MarketSection,
     Scenario,
     VotingSection,
     format_number,
@@ -27,6 +26,8 @@ from infomarket.voting import parse_ballots
 numbers = st.floats(-1e6, 1e6).map(lambda x: float(format_number(x)))
 positives = st.floats(1e-6, 1e6).map(lambda x: float(format_number(x)))
 counts = st.integers(1, 10**6)
+nonnegatives = positives | st.just(0.0)
+fractions = st.floats(0, 1).map(lambda x: float(format_number(x)))
 ids = st.from_regex(r"[a-z][a-z0-9_.]{0,7}", fullmatch=True)
 markets = st.builds(MarketParams, positives, numbers, positives)
 
@@ -52,7 +53,7 @@ scenarios = st.builds(
     Scenario,
     name=ids,
     seed=st.integers(0, 10**9),
-    market=optional(st.builds(MarketSection, markets, markets)),
+    market=optional(st.builds(MarketScenario, markets, markets)),
     payoffs=optional(st.builds(HarmPayoffParams, numbers, positives, numbers)),
     matching=optional(profiles()),
     game=optional(st.builds(
@@ -70,11 +71,11 @@ scenarios = st.builds(
     )),
     dynamics=optional(st.builds(
         DynamicsSection,
-        initial_retention=numbers,
-        decay_grid=st.lists(numbers, min_size=1, max_size=5).map(tuple),
-        diminishing_scale=numbers,
-        compounding_scale=numbers,
-        compounding_exponent=numbers,
+        initial_retention=fractions,
+        decay_grid=st.lists(nonnegatives, min_size=1, max_size=5).map(tuple),
+        diminishing_scale=nonnegatives,
+        compounding_scale=nonnegatives,
+        compounding_exponent=st.floats(1.001, 1e6).map(lambda x: float(format_number(x))),
         horizon=counts,
     )),
     analysis=optional(st.builds(

@@ -111,6 +111,15 @@ class TestMeek:
         ]
         assert [(e.candidate, e.tied) for e in exclusions] == [("A", True)]
 
+    def test_total_weight_is_a_left_fold(self):
+        # Ten 0.1 weights fold to 0.9999999999999999; a compensated sum gives 1.0.
+        ballots = [Ballot(("A", "B", "C"), 0.1)] * 4 + [Ballot(("B", "C", "A"), 0.1)] * 3
+        ballots += [Ballot(("C", "A", "B"), 0.1)] * 3
+        seats = 1
+        result = meek_count(ballots, ["A", "B", "C"], seats)
+        assert result.rounds[0].exhausted == 0.0
+        assert result.rounds[0].quota == 0.9999999999999999 / (seats + 1)
+
     def test_keep_factors_never_increase_across_rounds(self):
         ballots = [
             Ballot(("A", "B", "C"), 12.0),
