@@ -30,6 +30,7 @@ import math
 import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import repeat
 
 from .errors import MalformedProfile, ParseError
 from .market import MarketParams, MarketScenario
@@ -68,7 +69,7 @@ class GameSection:
 @dataclass(frozen=True)
 class VotingSection:
     ballots: str = _file()
-    seats: int
+    seats: int = _rule(">=", 1)
     tolerance: float = _rule(">=", 0, default=1e-9)
 
 
@@ -84,7 +85,7 @@ class DynamicsSection:
 
 @dataclass(frozen=True)
 class AnalysisSection:
-    reliability_grid: tuple[float, ...] = ()
+    reliability_grid: tuple[float, ...] = _rule(">=", 0, "<=", 1, default=())
     graph: str | None = _file(None)
     source: str | None = None
     target: str | None = None
@@ -182,9 +183,11 @@ def _value(section: str, f, text: str):
             expected = "an integer" if convert is int else "a number"
             raise ParseError(f"[{section}] {f.name}: expected {expected}, got {token!r}") from None
     rules = f.metadata.get("rules", ())
-    for value in values:
-        finite = convert is not float or math.isfinite(value)
-        if not finite or (rules and not all(_TESTS[op](value, bound) for op, bound in rules)):
+    checks = [map(math.isfinite, values)] if convert is float else []
+    for check in checks + [map(_TESTS[op], values, repeat(bound)) for op, bound in rules]:
+        fits = list(check)
+        if not all(fits):
+            value = values[fits.index(False)]
             need = ["finite"] if convert is float else []
             need += [f"{op} {bound}" for op, bound in rules]
             raise ParseError(f"[{section}] {f.name} must be {' and '.join(need)}, got {value!r}")

@@ -11,11 +11,12 @@ non-exhausted weight as the count progresses.
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyInput,
@@ -129,16 +130,29 @@ class _Status(Enum):
     EXCLUDED = "excluded"
 
 
+def _gather(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """The items of a sequence at ``positions``, in order (``itemgetter`` needs two or more)."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda xs: [xs[p] for p in positions]
+
+
+def _fold(xs: Iterable[float]) -> float:
+    """``reduce(operator.add, xs, 0.0)``: the same additions in order, without a call per item."""
+    return deque(accumulate(xs, initial=0.0), maxlen=1)[0]
+
+
 class _PathTally:
     """Ballot weight distribution that walks each distinct ballot path once.
 
-    Handing a ballot down its ranking, a candidate with keep factor 0 takes
-    nothing and one with keep factor 1 takes all that is left
-    (``w - w * 1.0 == 0.0``). So what a ballot gives each candidate depends
-    only on its weight and its *path*: the ranking without the keep-0
-    candidates, cut after the first keep-1 candidate. Ballots are grouped by
-    (weight, path), and the groups are rebuilt only when the set of keep-1 or
-    keep-0 candidates changes.
+    Candidates are positions in the sorted ids. Handing a ballot down its
+    ranking, a candidate with keep factor 0 takes nothing and one with keep
+    factor 1 takes all that is left (``w - w * 1.0 == 0.0``). So what a
+    ballot gives each candidate depends only on its weight and its *path*:
+    the ranking without the keep-0 candidates, cut after the first keep-1
+    candidate. Ballots are grouped by (weight, path); the groups, and each
+    candidate's gather of group shares in ballot order, are rebuilt only
+    when the set of keep-1 or keep-0 candidates changes.
 
     The result is bit-identical to walking every ballot in turn: each group
     walk makes the same float operations as one of its ballots, and each
@@ -148,19 +162,20 @@ class _PathTally:
     """
 
     def __init__(self, ballots: Sequence[Ballot], ids: Sequence[str]):
+        position = {c: i for i, c in enumerate(ids)}
         kinds: dict[tuple[float, tuple[str, ...]], int] = {}
         # Weight-0 ballots give nothing to anyone.
-        self._ballot_kinds = [
+        self._kind_of_ballot = _gather([
             kinds.setdefault((b.weight, b.ranking), len(kinds))
             for b in ballots
             if b.weight > 0.0
-        ]
-        self._kinds = list(kinds)
-        self._ids = ids
-        self._signature: tuple[frozenset[str], frozenset[str]] | None = None
+        ])
+        self._kinds = [(w, [position[c] for c in ranking]) for w, ranking in kinds]
+        self._n = len(ids)
+        self._signature: list[tuple[bool, bool]] | None = None
 
-    def _group(self, keep: Mapping[str, float]) -> None:
-        groups: dict[tuple[float, tuple[str, ...]], int] = {}
+    def _group(self, keep: Sequence[float]) -> None:
+        groups: dict[tuple[float, tuple[int, ...]], int] = {}
         group_of_kind = []
         for weight, ranking in self._kinds:
             path = []
@@ -172,31 +187,32 @@ class _PathTally:
                         break
             group_of_kind.append(groups.setdefault((weight, tuple(path)), len(groups)))
         self._groups = list(groups)
-        ballot_groups = list(map(group_of_kind.__getitem__, self._ballot_kinds))
+        ballot_groups = self._kind_of_ballot(group_of_kind)
+        members: list[list[int]] = [[] for _ in groups]  # ballot positions, ascending
+        for i, g in enumerate(ballot_groups):
+            members[g].append(i)
+        # The groups reaching each candidate, then the open groups, whose leftover exhausts.
+        rows: list[list[int]] = [[] for _ in range(self._n + 1)]
+        for g, (_, path) in enumerate(self._groups):
+            for cand in path:
+                rows[cand].append(g)
+            if not (path and keep[path[-1]] == 1.0):
+                rows[-1].append(g)
 
-        def reaching(flags: list[bool]) -> list[int]:
-            """The group of each ballot whose group is flagged, in ballot order."""
-            if not any(flags):
-                return []
-            return list(compress(ballot_groups, map(flags.__getitem__, ballot_groups)))
+        def gather(reaching: list[int]) -> Callable[[Sequence], Sequence]:
+            """Gathers the shares of the ``reaching`` groups ballot by ballot, in ballot order."""
+            positions = sorted(chain.from_iterable(map(members.__getitem__, reaching)))
+            return _gather(_gather(positions)(ballot_groups))
 
-        self._reach = {
-            c: reaching([c in path for _, path in self._groups]) for c in self._ids
-        }
-        self._open = reaching(
-            [not (path and keep[path[-1]] == 1.0) for _, path in self._groups]
-        )
+        *self._reach, self._open = map(gather, rows)
 
-    def distribute(self, keep: Mapping[str, float]) -> tuple[dict[str, float], float]:
+    def distribute(self, keep: Sequence[float]) -> tuple[list[float], float]:
         """Each candidate's retained weight, and the exhausted weight."""
-        signature = (
-            frozenset(c for c in self._ids if keep[c] == 1.0),
-            frozenset(c for c in self._ids if not keep[c] > 0.0),
-        )
+        signature = [(k == 1.0, k > 0.0) for k in keep]
         if signature != self._signature:
             self._group(keep)
             self._signature = signature
-        shares = {c: [0.0] * len(self._groups) for c in self._ids}
+        shares = [[0.0] * len(self._groups) for _ in range(self._n)]
         left = []
         for g, (w, path) in enumerate(self._groups):
             for cand in path:
@@ -206,12 +222,8 @@ class _PathTally:
                 shares[cand][g] = kept
                 w -= kept
             left.append(w)
-        totals = {
-            c: reduce(operator.add, map(shares[c].__getitem__, self._reach[c]), 0.0)
-            for c in self._ids
-        }
-        exhausted = reduce(operator.add, map(left.__getitem__, self._open), 0.0)
-        return totals, exhausted
+        totals = [_fold(get(row)) for get, row in zip(self._reach, shares)]
+        return totals, _fold(self._open(left))
 
 
 def meek_count(
@@ -251,16 +263,21 @@ def meek_count(
             if cand not in known:
                 raise UnknownCandidate(f"ballot ranks unknown candidate {cand!r}")
 
-    status = {c: _Status.HOPEFUL for c in ids}
-    keep = {c: 1.0 for c in ids}
+    # Candidates are positions in the sorted ``ids``, so positions order as ids do.
+    everyone = range(len(ids))
+    status = [_Status.HOPEFUL] * len(ids)
+    keep = [1.0] * len(ids)
     # A left fold, not sum(): from Python 3.12 sum() compensates float sums.
     total_weight = reduce(operator.add, (b.weight for b in ballots), 0)
-    winners: list[str] = []
+    winners: list[int] = []
     rounds: list[CountRound] = []
     tally = _PathTally(ballots, ids)
 
     def quota_of(exhausted: float) -> float:
         return (total_weight - exhausted) / (seats + 1)
+
+    def named(values: list[float]) -> dict[str, float]:
+        return dict(zip(ids, values))
 
     while True:
         events: list[CountEvent] = []
@@ -270,7 +287,7 @@ def meek_count(
         for _ in range(KEEP_ITERATION_CAP):
             room = seats - len(winners)
             crossers = [
-                c for c in ids if status[c] is _Status.HOPEFUL and totals[c] > quota
+                c for c in everyone if status[c] is _Status.HOPEFUL and totals[c] > quota
             ]
             if crossers and room > 0:
                 crossers.sort(key=lambda c: (-totals[c], c))
@@ -281,7 +298,7 @@ def meek_count(
                     events.append(
                         CountEvent(
                             EventKind.ELECTED,
-                            c,
+                            ids[c],
                             tied=overflow and totals[c] == totals[crossers[room]],
                         )
                     )
@@ -289,7 +306,7 @@ def meek_count(
             surplus = max(
                 (
                     totals[c] - quota
-                    for c in ids
+                    for c in everyone
                     if status[c] is _Status.ELECTED and totals[c] > quota
                 ),
                 default=0.0,
@@ -297,7 +314,7 @@ def meek_count(
             if not newly_elected and surplus <= tolerance:
                 converged = True
                 break
-            for c in ids:
+            for c in everyone:
                 if status[c] is _Status.ELECTED and totals[c] > quota:
                     keep[c] = keep[c] * quota / totals[c]
             totals, exhausted = tally.distribute(keep)
@@ -308,28 +325,28 @@ def meek_count(
                 f"after {KEEP_ITERATION_CAP} iterations"
             )
 
-        hopefuls = [c for c in ids if status[c] is _Status.HOPEFUL]
+        hopefuls = [c for c in everyone if status[c] is _Status.HOPEFUL]
         if len(winners) == seats or not hopefuls:
-            rounds.append(CountRound(dict(totals), quota, exhausted, tuple(events), dict(keep)))
+            rounds.append(CountRound(named(totals), quota, exhausted, tuple(events), named(keep)))
             break
         if len(hopefuls) + len(winners) <= seats:
             # Too few contenders left for the open seats: all of them win.
             for c in hopefuls:
                 status[c] = _Status.ELECTED
                 winners.append(c)
-                events.append(CountEvent(EventKind.ELECTED, c))
-            rounds.append(CountRound(dict(totals), quota, exhausted, tuple(events), dict(keep)))
+                events.append(CountEvent(EventKind.ELECTED, ids[c]))
+            rounds.append(CountRound(named(totals), quota, exhausted, tuple(events), named(keep)))
             break
         low = min(totals[c] for c in hopefuls)
         tied_low = [c for c in hopefuls if totals[c] == low]
         excluded = min(tied_low)
         status[excluded] = _Status.EXCLUDED
         keep[excluded] = 0.0
-        events.append(CountEvent(EventKind.EXCLUDED, excluded, tied=len(tied_low) > 1))
-        rounds.append(CountRound(dict(totals), quota, exhausted, tuple(events), dict(keep)))
+        events.append(CountEvent(EventKind.EXCLUDED, ids[excluded], tied=len(tied_low) > 1))
+        rounds.append(CountRound(named(totals), quota, exhausted, tuple(events), named(keep)))
 
     return ElectionResult(
-        winners=tuple(winners), rounds=tuple(rounds), keep_factors=dict(keep)
+        winners=tuple(ids[c] for c in winners), rounds=tuple(rounds), keep_factors=named(keep)
     )
 
 

@@ -13,9 +13,11 @@ the same results bit for bit.
 import heapq
 import itertools
 import math
+import operator
 from collections import deque
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -249,7 +251,8 @@ def meek_count_per_ballot(ballots, candidates, seats, tolerance=1e-9):
     ids = sorted(candidates)
     status = {c: _Status.HOPEFUL for c in ids}
     keep = {c: 1.0 for c in ids}
-    total_weight = sum(b.weight for b in ballots)
+    # A left fold, as in the count: from Python 3.12 sum() compensates float sums.
+    total_weight = reduce(operator.add, (b.weight for b in ballots), 0)
     winners: list[str] = []
     rounds: list[CountRound] = []
 

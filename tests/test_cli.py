@@ -198,6 +198,24 @@ def test_out_of_range_dynamics_value_rejected_at_parse(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("ballots = newsroom_ballots.txt\nseats = 2", "ballots = newsroom_ballots.txt\nseats = 0",
+     "[voting] seats must be >= 1, got 0"),
+    ("reliability_grid = 0 0.25 0.5 0.75 1", "reliability_grid = 0 2",
+     "[analysis] reliability_grid must be finite and >= 0 and <= 1, got 2.0"),
+])
+def test_out_of_range_voting_and_analysis_value_rejected_at_parse(
+    old, new, message, scenario_dir, tmp_path, capsys
+):
+    path = edited_newsroom(scenario_dir, tmp_path, old, new)
+    out = tmp_path / "out"
+    for subcommand in ("equilibrium", "vote-fptp", "vote-meek", "sweep"):
+        assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [scenario]: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand, old, new, message", [
     ("game", "fake_base = 5", "fake_base = nan", "[payoffs] fake_base must be finite"),
     ("game", "truth_payoff = 3", "truth_payoff = inf", "[payoffs] truth_payoff must be finite"),

@@ -67,7 +67,7 @@ scenarios = st.builds(
         fake_acceptance=numbers,
     )),
     voting=optional(st.builds(
-        VotingSection, ballots=ids, seats=st.integers(-3, 50), tolerance=positives | st.just(0.0),
+        VotingSection, ballots=ids, seats=counts, tolerance=positives | st.just(0.0),
     )),
     dynamics=optional(st.builds(
         DynamicsSection,
@@ -80,7 +80,7 @@ scenarios = st.builds(
     )),
     analysis=optional(st.builds(
         AnalysisSection,
-        reliability_grid=st.lists(numbers, max_size=5).map(tuple),
+        reliability_grid=st.lists(fractions, max_size=5).map(tuple),
         graph=optional(ids),
         source=optional(ids),
         target=optional(ids),

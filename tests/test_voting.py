@@ -239,6 +239,17 @@ def random_election(rng, max_cands=6, max_ballots=14):
     return ballots, candidates, rng.randint(1, n)
 
 
+def benchmark_shaped_election(rng):
+    """An election at the size of the benchmark's: many candidates, thousands
+    of ballots from up to 300 partial rankings, zero and fractional weights."""
+    n = rng.randint(12, 25)
+    candidates = [f"cand{i:02d}" for i in range(n)]
+    pool = [tuple(rng.sample(candidates, rng.randint(1, n))) for _ in range(rng.randint(5, 300))]
+    weights = [0.0, 1.0, 1.0, 1.0, 2.0, 0.1, 0.25, rng.uniform(0.0, 5.0)]
+    ballots = [Ballot(rng.choice(pool), rng.choice(weights)) for _ in range(rng.randint(500, 3000))]
+    return ballots, candidates, rng.randint(1, 8)
+
+
 class TestMeekOracles:
     def test_matches_per_ballot_walk_bit_for_bit(self):
         rng = random.Random(31337)
@@ -250,6 +261,32 @@ class TestMeekOracles:
             assert repr(meek_count(ballots, candidates, seats)) == repr(
                 meek_count_per_ballot(ballots, candidates, seats)
             )
+
+    def test_matches_per_ballot_walk_at_benchmark_shape(self):
+        rng = random.Random(9091)
+        for _ in range(25):
+            ballots, candidates, seats = benchmark_shaped_election(rng)
+            assert repr(meek_count(ballots, candidates, seats)) == repr(
+                meek_count_per_ballot(ballots, candidates, seats)
+            )
+
+    @pytest.mark.parametrize("ballots, candidates, seats", [
+        # C and D are on no ballot: their shares are gathered from no ballot.
+        ([Ballot(("A", "B"), 3.0), Ballot(("B", "A"), 2.5), Ballot(("A",), 0.1)] * 3,
+         ["A", "B", "C", "D"], 2),
+        # One ballot alone reaches D.
+        (HAND_BALLOTS + [Ballot(("D", "C"), 0.5)], ["A", "B", "C", "D"], 2),
+        # A single ballot: each gather has one position or none.
+        ([Ballot(("B", "A", "C"), 0.75)], ["A", "B", "C"], 2),
+        # No ballot carries weight, so no ballot reaches anyone.
+        ([Ballot(("A", "B"), 0.0), Ballot(("B",), 0.0)], ["A", "B", "C"], 1),
+    ])
+    def test_matches_per_ballot_walk_with_unreached_and_singly_reached_candidates(
+        self, ballots, candidates, seats
+    ):
+        assert repr(meek_count(ballots, candidates, seats)) == repr(
+            meek_count_per_ballot(ballots, candidates, seats)
+        )
 
     def test_agrees_with_exact_rational_count(self):
         rng = random.Random(2718)
