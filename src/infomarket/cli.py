@@ -259,6 +259,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error [input]: {exc}", file=sys.stderr)
         return 1
+    except OverflowError:
+        print("error [input]: a result is too large to compute: an input value is out of range",
+              file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{scenario.name}_{args.subcommand}.csv")
     with open(out_path, "w", encoding="utf-8", newline="") as f:

@@ -39,10 +39,17 @@ from .payoffs import HarmPayoffParams
 
 
 def format_number(x) -> str:
-    """Canonical scalar rendering: 12 significant digits, no trailing noise."""
+    """Canonical scalar rendering: 12 significant digits, no trailing noise.
+
+    Raises:
+        ValueError: x is inf or nan, which no output may carry.
+    """
     if isinstance(x, int):
         return str(x)
-    return f"{float(x):.12g}"
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"a result is {x}, not a finite number: an input value is out of range")
+    return f"{x:.12g}"
 
 
 def _rule(*rules, default=MISSING):
@@ -62,8 +69,8 @@ class GameSection:
     harm_rule: str = _rule("in", ("own", "any"), default="own")
     audience: float = _rule(">", 0, default=100.0)
     seats: int = _rule(">=", 1, default=2)
-    true_acceptance: float = 2.0
-    fake_acceptance: float = 3.0
+    true_acceptance: float = _rule(">=", 0, default=2.0)
+    fake_acceptance: float = _rule(">=", 0, default=3.0)
 
 
 @dataclass(frozen=True)

@@ -124,12 +124,6 @@ def droop_quota(valid_votes, seats: int) -> int:
     return math.floor(valid_votes / (seats + 1)) + 1
 
 
-class _Status(Enum):
-    HOPEFUL = "hopeful"
-    ELECTED = "elected"
-    EXCLUDED = "excluded"
-
-
 def _gather(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
     """The items of a sequence at ``positions``, in order (``itemgetter`` needs two or more)."""
     if len(positions) > 1:
@@ -264,12 +258,13 @@ def meek_count(
                 raise UnknownCandidate(f"ballot ranks unknown candidate {cand!r}")
 
     # Candidates are positions in the sorted ``ids``, so positions order as ids do.
-    everyone = range(len(ids))
-    status = [_Status.HOPEFUL] * len(ids)
+    # Hopefuls stay ascending, so ties break toward the lowest id; winners are
+    # in election order; an excluded candidate is in neither, with keep 0.0.
+    hopefuls = list(range(len(ids)))
+    winners: list[int] = []
     keep = [1.0] * len(ids)
     # A left fold, not sum(): from Python 3.12 sum() compensates float sums.
     total_weight = reduce(operator.add, (b.weight for b in ballots), 0)
-    winners: list[int] = []
     rounds: list[CountRound] = []
     tally = _PathTally(ballots, ids)
 
@@ -283,67 +278,44 @@ def meek_count(
         events: list[CountEvent] = []
         totals, exhausted = tally.distribute(keep)
         quota = quota_of(exhausted)
-        converged = False
         for _ in range(KEEP_ITERATION_CAP):
             room = seats - len(winners)
-            crossers = [
-                c for c in everyone if status[c] is _Status.HOPEFUL and totals[c] > quota
-            ]
-            if crossers and room > 0:
-                crossers.sort(key=lambda c: (-totals[c], c))
-                overflow = len(crossers) > room
-                for c in crossers[:room]:
-                    status[c] = _Status.ELECTED
-                    winners.append(c)
-                    events.append(
-                        CountEvent(
-                            EventKind.ELECTED,
-                            ids[c],
-                            tied=overflow and totals[c] == totals[crossers[room]],
-                        )
-                    )
-            newly_elected = bool(crossers) and room > 0
-            surplus = max(
-                (
-                    totals[c] - quota
-                    for c in everyone
-                    if status[c] is _Status.ELECTED and totals[c] > quota
-                ),
-                default=0.0,
-            )
-            if not newly_elected and surplus <= tolerance:
-                converged = True
+            crossers = [c for c in hopefuls if totals[c] > quota] if room > 0 else []
+            crossers.sort(key=lambda c: (-totals[c], c))
+            for c in crossers[:room]:
+                hopefuls.remove(c)
+                winners.append(c)
+                tied = len(crossers) > room and totals[c] == totals[crossers[room]]
+                events.append(CountEvent(EventKind.ELECTED, ids[c], tied=tied))
+            over = [c for c in winners if totals[c] > quota]
+            if not crossers and max((totals[c] - quota for c in over), default=0.0) <= tolerance:
                 break
-            for c in everyone:
-                if status[c] is _Status.ELECTED and totals[c] > quota:
-                    keep[c] = keep[c] * quota / totals[c]
+            for c in over:
+                keep[c] = keep[c] * quota / totals[c]
             totals, exhausted = tally.distribute(keep)
             quota = quota_of(exhausted)
-        if not converged:
+        else:
             raise NonConvergence(
                 f"surplus transfer missed tolerance {tolerance} "
                 f"after {KEEP_ITERATION_CAP} iterations"
             )
 
-        hopefuls = [c for c in everyone if status[c] is _Status.HOPEFUL]
-        if len(winners) == seats or not hopefuls:
-            rounds.append(CountRound(named(totals), quota, exhausted, tuple(events), named(keep)))
-            break
-        if len(hopefuls) + len(winners) <= seats:
+        room = seats - len(winners)
+        excluding = 0 < room < len(hopefuls)
+        if excluding:
+            low = min(totals[c] for c in hopefuls)
+            tied_low = [c for c in hopefuls if totals[c] == low]
+            excluded = tied_low[0]
+            hopefuls.remove(excluded)
+            keep[excluded] = 0.0
+            events.append(CountEvent(EventKind.EXCLUDED, ids[excluded], tied=len(tied_low) > 1))
+        elif room > 0:
             # Too few contenders left for the open seats: all of them win.
-            for c in hopefuls:
-                status[c] = _Status.ELECTED
-                winners.append(c)
-                events.append(CountEvent(EventKind.ELECTED, ids[c]))
-            rounds.append(CountRound(named(totals), quota, exhausted, tuple(events), named(keep)))
-            break
-        low = min(totals[c] for c in hopefuls)
-        tied_low = [c for c in hopefuls if totals[c] == low]
-        excluded = min(tied_low)
-        status[excluded] = _Status.EXCLUDED
-        keep[excluded] = 0.0
-        events.append(CountEvent(EventKind.EXCLUDED, ids[excluded], tied=len(tied_low) > 1))
+            winners += hopefuls
+            events += [CountEvent(EventKind.ELECTED, ids[c]) for c in hopefuls]
         rounds.append(CountRound(named(totals), quota, exhausted, tuple(events), named(keep)))
+        if not excluding:
+            break
 
     return ElectionResult(
         winners=tuple(ids[c] for c in winners), rounds=tuple(rounds), keep_factors=named(keep)

@@ -216,6 +216,51 @@ def test_out_of_range_voting_and_analysis_value_rejected_at_parse(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("true_acceptance = 2", "true_acceptance = -1"),
+    ("fake_acceptance = 3", "fake_acceptance = -1"),
+], ids=["true_acceptance", "fake_acceptance"])
+def test_negative_acceptance_gain_rejected_at_parse(old, new, scenario_dir, tmp_path, capsys):
+    path = edited_newsroom(scenario_dir, tmp_path, old, new)
+    key = old.split()[0]
+    out = tmp_path / "out"
+    for subcommand in SUBCOMMANDS:
+        assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [scenario]: [game] {key} must be finite and >= 0, got -1.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, old, new", [
+    ("game", "truth_payoff = 3", "truth_payoff = 1e308"),
+    ("game", "harm_penalty = 2", "harm_penalty = 1e308"),
+    ("dynamics", "diminishing_scale = 1", "diminishing_scale = 1e308"),
+    ("dynamics", "compounding_scale = 1", "compounding_scale = 1e308"),
+    ("equilibrium", "supply_slope = 1\ndemand_intercept = 10\ndemand_slope = 1",
+     "supply_slope = 1e-300\ndemand_intercept = 1e308\ndemand_slope = 1e-300"),
+], ids=["truth_payoff", "harm_penalty", "diminishing_scale", "compounding_scale", "market.fake"])
+def test_non_finite_result_writes_no_csv(subcommand, old, new, scenario_dir, tmp_path, capsys):
+    path = edited_newsroom(scenario_dir, tmp_path, old, new)
+    out = tmp_path / "out"
+    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [input]: a result is ") and err.count("\n") == 1
+    assert "not a finite number" in err
+    assert not out.exists()
+
+
+def test_overflowing_result_reported_in_one_line(scenario_dir, tmp_path, capsys):
+    path = edited_newsroom(
+        scenario_dir, tmp_path, "compounding_exponent = 2", "compounding_exponent = 400"
+    )
+    out = tmp_path / "out"
+    assert run_cli("dynamics", "--scenario", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error [input]: a result is too large to compute: an input value is out of range\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand, old, new, message", [
     ("game", "fake_base = 5", "fake_base = nan", "[payoffs] fake_base must be finite"),
     ("game", "truth_payoff = 3", "truth_payoff = inf", "[payoffs] truth_payoff must be finite"),

@@ -63,8 +63,8 @@ scenarios = st.builds(
         harm_rule=st.sampled_from(["own", "any"]),
         audience=positives,
         seats=counts,
-        true_acceptance=numbers,
-        fake_acceptance=numbers,
+        true_acceptance=nonnegatives,
+        fake_acceptance=nonnegatives,
     )),
     voting=optional(st.builds(
         VotingSection, ballots=ids, seats=counts, tolerance=positives | st.just(0.0),

@@ -213,3 +213,6 @@ def test_format_number():
     assert format_number(0.1) == "0.1"
     assert format_number(7) == "7"
     assert format_number(1 / 3) == "0.333333333333"
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not a finite number"):
+            format_number(value)
