@@ -95,7 +95,7 @@ def _load_ballots(scenario, ctx):
     from . import voting
     section = _require_section(scenario, "voting", "voting")
     ballots = voting.load_ballot_file(resolve_path(ctx["scenario_path"], section.ballots))
-    candidates = sorted({c for b in ballots for c in b.ranking})
+    candidates = sorted({c for b in voting.distinct_ballots(ballots) for c in b.ranking})
     if not candidates:
         raise ParseError("ballot file holds no rankings")
     return section, ballots, candidates

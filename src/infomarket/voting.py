@@ -11,11 +11,11 @@ non-exhausted weight as the count progresses.
 
 import math
 import operator
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -124,6 +124,13 @@ def droop_quota(valid_votes, seats: int) -> int:
     return math.floor(valid_votes / (seats + 1)) + 1
 
 
+def distinct_ballots(ballots: Iterable[Ballot]) -> list[Ballot]:
+    """The distinct ``Ballot`` objects, first seen first: ``parse_ballots``
+    shares one object per repeated line, so this is one per distinct line."""
+    ballots = list(ballots)
+    return list(dict(zip(map(id, ballots), ballots)).values())
+
+
 def _gather(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
     """The items of a sequence at ``positions``, in order (``itemgetter`` needs two or more)."""
     if len(positions) > 1:
@@ -131,93 +138,209 @@ def _gather(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
     return lambda xs: [xs[p] for p in positions]
 
 
+class _PlainZero(float):
+    """0.0 as a float subclass. From Python 3.12 ``sum()`` compensates a float
+    sum, but only on its fast path, taken when the start is an exact float;
+    from this start it adds with plain ``+``, in order."""
+
+
+_PLAIN_ZERO = _PlainZero()
+
+
 def _fold(xs: Iterable[float]) -> float:
     """``reduce(operator.add, xs, 0.0)``: the same additions in order, without a call per item."""
-    return deque(accumulate(xs, initial=0.0), maxlen=1)[0]
+    return float(sum(xs, _PLAIN_ZERO))
 
 
 class _PathTally:
-    """Ballot weight distribution that walks each distinct ballot path once.
+    """Ballot weight distribution over a trie of (weight, path prefix) nodes.
 
     Candidates are positions in the sorted ids. Handing a ballot down its
     ranking, a candidate with keep factor 0 takes nothing and one with keep
     factor 1 takes all that is left (``w - w * 1.0 == 0.0``). So what a
     ballot gives each candidate depends only on its weight and its *path*:
     the ranking without the keep-0 candidates, cut after the first keep-1
-    candidate. Ballots are grouped by (weight, path); the groups, and each
-    candidate's gather of group shares in ballot order, are rebuilt only
-    when the set of keep-1 or keep-0 candidates changes.
+    candidate. Every candidate on a path is a winner (keep factor in (0, 1))
+    but the keep-1 one that may end it. A trie node is a (weight, path
+    prefix) ending at a winner; a pass walks the nodes parent before child
+    with the float operations of one ballot step, ``kept = w * keep[c]``
+    then ``w -= kept``. The keep-1 candidate ending a path takes
+    ``w * 1.0 == w``, the weight left at the node before it.
 
-    The result is bit-identical to walking every ballot in turn: each group
-    walk makes the same float operations as one of its ballots, and each
-    total is a left fold with plain ``+`` in ballot order over the ballots
-    that reach the candidate (the ones left out would add only ``+0.0``).
+    A kind is one distinct ``Ballot`` object. A path moves only when a
+    candidate on it changes status (its keep factor leaves 1 or reaches 0),
+    so only the kinds whose path holds that candidate are re-pathed: for an
+    election or an exclusion, the kinds that end at it. New nodes are
+    appended, and only the gathers that changed are rebuilt. A candidate's
+    gather is a node per ballot that reaches it, in ballot order: a winner's
+    own node (its ``kept``) or a keep-1 candidate's parent node (its
+    leftover). The last gather holds the end nodes of the paths that stop
+    short of a keep-1 candidate, whose leftover exhausts.
+
+    Each total is a left fold with plain ``+`` in ballot order over the
+    ballots that reach the candidate (the ones left out would add only
+    ``+0.0``), so the bits are those of walking every ballot in turn.
     ``sum()`` is not used because from Python 3.12 it compensates float sums.
     """
 
     def __init__(self, ballots: Sequence[Ballot], ids: Sequence[str]):
         position = {c: i for i, c in enumerate(ids)}
-        kinds: dict[tuple[float, tuple[str, ...]], int] = {}
-        # Weight-0 ballots give nothing to anyone.
-        self._kind_of_ballot = _gather([
-            kinds.setdefault((b.weight, b.ranking), len(kinds))
-            for b in ballots
-            if b.weight > 0.0
-        ])
-        self._kinds = [(w, [position[c] for c in ranking]) for w, ranking in kinds]
-        self._n = len(ids)
-        self._signature: list[tuple[bool, bool]] | None = None
+        kinds = distinct_ballots(ballots)
+        try:
+            self._rankings = [list(map(position.__getitem__, b.ranking)) for b in kinds]
+        except KeyError as exc:
+            raise UnknownCandidate(f"ballot ranks unknown candidate {exc.args[0]!r}") from None
+        kind_of = {id(b): k for k, b in enumerate(kinds)}
+        self._kind = list(map(kind_of.__getitem__, map(id, ballots)))
+        # Node 0 is on no path, so 0 can mean "no node"; the roots come next.
+        roots: dict[float, int] = {}
+        self._root = [roots.setdefault(b.weight, len(roots) + 1) for b in kinds]
+        self._start = [0.0, *roots]
+        self._nodes = len(self._start)
+        self._child: dict[tuple[int, int], int] = {}
+        # Batches of appended nodes, each with its parents in earlier batches:
+        # (first node, parents, candidates, and a gather of each).
+        self._batches: list[tuple[int, list[int], list[int], Callable, Callable]] = []
+        self._n = n = len(ids)
+        # Row c holds each kind's node for candidate c (0: its path misses c)
+        # and the ballot positions that reach c, ascending; the last row holds
+        # the end nodes of the open paths. At the start every candidate has
+        # keep 1, so a path is the first choice alone, reached from the root;
+        # an empty ranking is open at its root, and a weight-0 ballot, which
+        # gives nothing to anyone, is on no row.
+        self._state = [2] * n
+        self._paths = [r[:1] for r in self._rankings]
+        self._rows = [[0] * len(kinds) for _ in range(n + 1)]
+        home = []  # the row each kind starts on (n + 1: none)
+        for k, b in enumerate(kinds):
+            row = self._paths[k][0] if self._paths[k] else n
+            if b.weight > 0.0:
+                self._rows[row][k] = self._root[k]
+            else:
+                row = n + 1
+            home.append(row)
+        self._members: list[list[int]] = [[] for _ in kinds]  # ballot positions, ascending
+        self._reach: list[list[int]] = [[] for _ in range(n + 2)]
+        for i, k in enumerate(self._kind):
+            self._members[k].append(i)
+            self._reach[home[k]].append(i)
+        self._reach.pop()
+        self._gathers = [self._gather_row(row) for row in range(n + 1)]
 
-    def _group(self, keep: Sequence[float]) -> None:
-        groups: dict[tuple[float, tuple[int, ...]], int] = {}
-        group_of_kind = []
-        for weight, ranking in self._kinds:
-            path = []
-            for cand in ranking:
-                k = keep[cand]
-                if k > 0.0:
-                    path.append(cand)
-                    if k == 1.0:
-                        break
-            group_of_kind.append(groups.setdefault((weight, tuple(path)), len(groups)))
-        self._groups = list(groups)
-        ballot_groups = self._kind_of_ballot(group_of_kind)
-        members: list[list[int]] = [[] for _ in groups]  # ballot positions, ascending
-        for i, g in enumerate(ballot_groups):
-            members[g].append(i)
-        # The groups reaching each candidate, then the open groups, whose leftover exhausts.
-        rows: list[list[int]] = [[] for _ in range(self._n + 1)]
-        for g, (_, path) in enumerate(self._groups):
-            for cand in path:
-                rows[cand].append(g)
-            if not (path and keep[path[-1]] == 1.0):
-                rows[-1].append(g)
+    def _gather_row(self, row: int) -> Callable[[Sequence], Sequence]:
+        """The nodes of the ballots that reach ``row``, in ballot order."""
+        return _gather(_gather(_gather(self._reach[row])(self._kind))(self._rows[row]))
 
-        def gather(reaching: list[int]) -> Callable[[Sequence], Sequence]:
-            """Gathers the shares of the ``reaching`` groups ballot by ballot, in ballot order."""
-            positions = sorted(chain.from_iterable(map(members.__getitem__, reaching)))
-            return _gather(_gather(positions)(ballot_groups))
+    def _repath(self, state: list[int]) -> None:
+        """Moves the kinds whose path holds a candidate whose status changed.
 
-        *self._reach, self._open = map(gather, rows)
-
-    def distribute(self, keep: Sequence[float]) -> tuple[list[float], float]:
-        """Each candidate's retained weight, and the exhausted weight."""
-        signature = [(k == 1.0, k > 0.0) for k in keep]
-        if signature != self._signature:
-            self._group(keep)
-            self._signature = signature
-        shares = [[0.0] * len(self._groups) for _ in range(self._n)]
-        left = []
-        for g, (w, path) in enumerate(self._groups):
-            for cand in path:
-                if w <= 0.0:
+        Keep factors never rise, so a path can only grow past a candidate
+        that left keep 1 and lose candidates that reached keep 0. A live
+        candidate's row and the open row therefore only gain kinds, or change
+        a kind's node (a candidate elected, or one above it dropped out).
+        """
+        rows, paths, was = self._rows, self._paths, self._state
+        changed = [c for c, (s, t) in enumerate(zip(state, was)) if s != t]
+        kinds = range(len(paths))
+        moved = sorted(set(chain.from_iterable(compress(kinds, rows[c]) for c in changed)))
+        added: dict[int, list[int]] = defaultdict(list)  # row -> the kinds that now reach it
+        touched = set(changed)  # rows where a node changed or left
+        tails = []  # [kind, node of the prefix kept, the rest of the path]
+        staying = [s == t == 1 for s, t in zip(state, was)]  # winners before and after
+        for k in moved:
+            # The winners that stay keep their nodes; the walk goes on after them.
+            old, ranking = paths[k], self._rankings[k]
+            same = 0
+            for c in old:
+                if not staying[c]:
                     break
-                kept = w * keep[cand]
-                shares[cand][g] = kept
-                w -= kept
-            left.append(w)
-        totals = [_fold(get(row)) for get, row in zip(self._reach, shares)]
-        return totals, _fold(self._open(left))
+                same += 1
+            path = old[:same]
+            for c in ranking[ranking.index(path[-1]) + 1 if path else 0:]:
+                if state[c]:
+                    path.append(c)
+                    if state[c] == 2:
+                        break
+            for c in old[same:]:
+                if c not in path:
+                    rows[c][k] = 0
+            tails.append([k, rows[old[same - 1]][k] if same else self._root[k], path[same:]])
+            paths[k] = path
+        # Depth by depth, so each batch of new nodes has its parents in earlier batches.
+        step = [tail for tail in tails if tail[2]]
+        depth = 0
+        while step:
+            first = self._nodes
+            parents: list[int] = []
+            cands: list[int] = []
+            for tail in step:
+                k, end, rest = tail
+                c = rest[depth]
+                if state[c] == 1:
+                    node = tail[1] = self._child.setdefault((end, c), self._nodes)
+                    if node == self._nodes:
+                        self._nodes += 1
+                        parents.append(end)
+                        cands.append(c)
+                else:
+                    node = end
+                if not rows[c][k]:
+                    added[c].append(k)
+                elif rows[c][k] != node:
+                    touched.add(c)
+                rows[c][k] = node
+            if parents:
+                batches = self._batches
+                if batches and max(parents) < batches[-1][0]:
+                    # All the parents come before the last batch: join it.
+                    first, last_parents, last_cands = batches.pop()[:3]
+                    parents = last_parents + parents
+                    cands = last_cands + cands
+                batches.append((first, parents, cands, _gather(parents), _gather(cands)))
+            depth += 1
+            step = [tail for tail in step if len(tail[2]) > depth]
+        open_row = rows[-1]
+        for k, end, _ in tails:
+            if not (paths[k] and state[paths[k][-1]] == 2):
+                if not open_row[k]:
+                    added[self._n].append(k)
+                elif open_row[k] != end:
+                    touched.add(self._n)
+                open_row[k] = end
+        self._state = state
+        for row in touched.union(added):
+            reach = self._reach[row] if row == self._n or state[row] else []
+            if row in added:
+                joining = chain.from_iterable(map(self._members.__getitem__, added[row]))
+                reach = sorted(reach + sorted(joining))  # two runs: one merge
+            self._reach[row] = reach
+            self._gathers[row] = self._gather_row(row)
+
+    def distribute(
+        self, keep: Sequence[float], reading: Iterable[int]
+    ) -> tuple[list[float], float]:
+        """The retained weight of each candidate in ``reading`` (0.0 for the
+        rest, which ``fold`` can fill in later), and the exhausted weight."""
+        # 2: keep-1, 1: a winner, between 0 and 1, 0: takes nothing.
+        state = [(k == 1.0) + (k > 0.0) for k in keep]
+        if state != self._state:
+            self._repath(state)
+        rem = self._start[:]
+        kept = [0.0] * len(rem)
+        for *_, parents, cands in self._batches:
+            arriving = parents(rem)
+            shares = list(map(operator.mul, arriving, cands(keep)))
+            kept += shares
+            rem += map(operator.sub, arriving, shares)
+        self._kept, self._rem = kept, rem
+        totals = [0.0] * self._n
+        self.fold(totals, reading)
+        return totals, _fold(self._gathers[-1](rem))
+
+    def fold(self, totals: list[float], cands: Iterable[int]) -> None:
+        """Fills in the totals of ``cands`` from the last distribution."""
+        for c in cands:
+            totals[c] = _fold(self._gathers[c](self._kept if self._state[c] == 1 else self._rem))
 
 
 def meek_count(
@@ -251,11 +374,7 @@ def meek_count(
     ids = sorted(candidates)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate candidate ids")
-    known = set(ids)
-    for ranking in dict.fromkeys(b.ranking for b in ballots):
-        for cand in ranking:
-            if cand not in known:
-                raise UnknownCandidate(f"ballot ranks unknown candidate {cand!r}")
+    tally = _PathTally(ballots, ids)
 
     # Candidates are positions in the sorted ``ids``, so positions order as ids do.
     # Hopefuls stay ascending, so ties break toward the lowest id; winners are
@@ -264,20 +383,22 @@ def meek_count(
     winners: list[int] = []
     keep = [1.0] * len(ids)
     # A left fold, not sum(): from Python 3.12 sum() compensates float sums.
-    total_weight = reduce(operator.add, (b.weight for b in ballots), 0)
+    total_weight = reduce(operator.add, map(operator.attrgetter("weight"), ballots), 0)
     rounds: list[CountRound] = []
-    tally = _PathTally(ballots, ids)
 
-    def quota_of(exhausted: float) -> float:
-        return (total_weight - exhausted) / (seats + 1)
+    def distribute() -> tuple[list[float], float, float]:
+        # Once the seats are full, only the winners' totals are read until the snapshot.
+        totals, exhausted = tally.distribute(
+            keep, winners if len(winners) == seats else range(len(ids))
+        )
+        return totals, exhausted, (total_weight - exhausted) / (seats + 1)
 
     def named(values: list[float]) -> dict[str, float]:
         return dict(zip(ids, values))
 
     while True:
         events: list[CountEvent] = []
-        totals, exhausted = tally.distribute(keep)
-        quota = quota_of(exhausted)
+        totals, exhausted, quota = distribute()
         for _ in range(KEEP_ITERATION_CAP):
             room = seats - len(winners)
             crossers = [c for c in hopefuls if totals[c] > quota] if room > 0 else []
@@ -292,8 +413,7 @@ def meek_count(
                 break
             for c in over:
                 keep[c] = keep[c] * quota / totals[c]
-            totals, exhausted = tally.distribute(keep)
-            quota = quota_of(exhausted)
+            totals, exhausted, quota = distribute()
         else:
             raise NonConvergence(
                 f"surplus transfer missed tolerance {tolerance} "
@@ -301,6 +421,8 @@ def meek_count(
             )
 
         room = seats - len(winners)
+        if room == 0:
+            tally.fold(totals, hopefuls)  # the snapshot reads what the passes since the fill skipped
         excluding = 0 < room < len(hopefuls)
         if excluding:
             low = min(totals[c] for c in hopefuls)
@@ -348,32 +470,50 @@ def parse_ballots(lines: Iterable[str]) -> list[Ballot]:
         ParseError: a line does not match the format.
     """
     ballots = []
-    seen: dict[str, Ballot] = {}
+    seen: dict[str, Ballot] = {}  # by raw line and by stripped line
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line in seen:
-            ballots.append(seen[line])
-            continue
+        ballot = seen.get(raw)
+        if ballot is None:
+            line = raw.partition("#")[0].strip()
+            if not line:
+                continue
+            ballot = seen.get(line)
+            if ballot is None:
+                ballot = seen[line] = _parse_line(line, lineno)
+            seen[raw] = ballot
+        ballots.append(ballot)
+    return ballots
+
+
+def _parse_line(line: str, lineno: int) -> Ballot:
+    """One stripped, comment-free ballot line."""
+    tokens = line.split()
+    seps = tokens[1::2]
+    # The common spacing, ``w : a > b > c``: the tokens alternate with a
+    # colon and then ">"s as separators, and no name holds a ">" or a space.
+    if (
+        seps[:1] == [":"]
+        and len(tokens) % 2
+        and ":" not in tokens[0]
+        and seps.count(">") == line.count(">") == len(seps) - 1
+    ):
+        weight_text, names = tokens[0], tokens[2::2]
+    else:
         if ":" not in line:
             raise ParseError(f"ballot line {lineno}: expected '<weight> : <ranking>'")
         weight_text, ranking_text = line.split(":", 1)
-        try:
-            weight = float(weight_text.strip())
-        except ValueError:
-            raise ParseError(
-                f"ballot line {lineno}: bad weight {weight_text.strip()!r}"
-            ) from None
+        weight_text = weight_text.strip()
         names = [tok.strip() for tok in ranking_text.split(">")]
-        if any(not n for n in names):
-            raise ParseError(f"ballot line {lineno}: empty candidate name")
-        try:
-            seen[line] = Ballot(ranking=tuple(names), weight=weight)
-        except ValueError as exc:
-            raise ParseError(f"ballot line {lineno}: {exc}") from None
-        ballots.append(seen[line])
-    return ballots
+    try:
+        weight = float(weight_text)
+    except ValueError:
+        raise ParseError(f"ballot line {lineno}: bad weight {weight_text!r}") from None
+    if not all(names):
+        raise ParseError(f"ballot line {lineno}: empty candidate name")
+    try:
+        return Ballot(ranking=tuple(names), weight=weight)
+    except ValueError as exc:
+        raise ParseError(f"ballot line {lineno}: {exc}") from None
 
 
 def load_ballot_file(path) -> list[Ballot]:

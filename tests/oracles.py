@@ -2,9 +2,10 @@
 
 None of these call into the implementations they verify: the stable-matching
 enumerator checks blocking pairs itself, the Nash oracle builds best-response
-sets, the path oracle walks every simple path, and the Meek counts walk every
-ballot: one in floats, one that stops once the seats are filled, and one in
-exact rationals. The name-keyed deferred
+sets, the path oracle walks every simple path, the plurality recount keeps a
+by-name ``Counter``, and the Meek counts walk every ballot: one in floats, one
+that stops once the seats are filled, and one in exact rationals. The
+name-keyed deferred
 acceptance and route search are the kernels as they were before agents and
 nodes became list positions, kept so the position-keyed ones can be held to
 the same results bit for bit.
@@ -14,7 +15,7 @@ import heapq
 import itertools
 import math
 import operator
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -230,6 +231,24 @@ def min_cost_spread_path_by_name(graph, source, target):
             if nbr not in done:
                 heapq.heappush(heap, (cost + edge_cost, path + (nbr,), nbr))
     raise Unreachable(f"no route from {source!r} to {target!r}")
+
+
+def plurality_recount(ballots, candidates):
+    """Reference for ``first_preference_totals`` + ``fptp_winner``.
+
+    Adds each ballot's weight to its first choice in ballot order, in a
+    by-name ``Counter``; a candidate nobody ranks first has 0.0. The winner
+    has the most weight, ties going to the lowest id. Returns the totals,
+    the winner and whether the lead is tied.
+    """
+    counts = Counter()
+    for ballot in ballots:
+        if ballot.ranking:
+            counts[ballot.ranking[0]] += ballot.weight
+    totals = {c: float(counts[c]) for c in sorted(candidates)}
+    best = max(totals.values())
+    leaders = [c for c in sorted(candidates) if totals[c] == best]
+    return totals, leaders[0], len(leaders) > 1
 
 
 class _Status(Enum):

@@ -20,7 +20,8 @@ from infomarket.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from infomarket.voting import parse_ballots
+from infomarket.voting import Ballot, first_preference_totals, fptp_winner, parse_ballots
+from oracles import plurality_recount
 
 # Numbers go through format_number, so each one survives its own rendering.
 numbers = st.floats(-1e6, 1e6).map(lambda x: float(format_number(x)))
@@ -163,3 +164,30 @@ def test_malformed_ballot_text_raises_only_package_errors(rows):
 @given(st.lists(graph_lines, max_size=10) | st.text(max_size=200).map(str.splitlines))
 def test_malformed_graph_text_raises_only_package_errors(rows):
     fails_cleanly(parse_spread_graph, rows)
+
+
+@st.composite
+def plurality_elections(draw):
+    """Candidates, some ranked first by nobody, and ballots with zero,
+    fractional and whole weights, partial and empty rankings."""
+    candidates = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    weights = st.sampled_from([0.0, 1.0, 2.0, 0.1, 0.25, 1e-300]) | st.floats(0, 1e6)
+    ballots = draw(st.lists(
+        st.builds(Ballot, st.permutations(candidates).flatmap(
+            lambda order: st.integers(0, len(order)).map(lambda n: tuple(order[:n]))
+        ), weights),
+        max_size=40,
+    ))
+    return candidates, ballots
+
+
+@given(plurality_elections())
+@settings(max_examples=300, deadline=None)
+def test_plurality_matches_the_counter_recount_bit_for_bit(election):
+    candidates, ballots = election
+    totals, winner, tied = plurality_recount(ballots, candidates)
+    got = first_preference_totals(ballots, candidates)
+    assert list(got) == list(totals)
+    assert [x.hex() for x in got.values()] == [x.hex() for x in totals.values()]
+    result = fptp_winner(got)
+    assert (result.winner, result.tied) == (winner, tied)

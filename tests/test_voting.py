@@ -1,4 +1,7 @@
+import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -19,6 +22,7 @@ from infomarket.voting import (
     load_ballot_file,
     meek_count,
     parse_ballots,
+    _fold,
 )
 
 HAND_BALLOTS = [
@@ -119,6 +123,12 @@ class TestMeek:
         result = meek_count(ballots, ["A", "B", "C"], seats)
         assert result.rounds[0].exhausted == 0.0
         assert result.rounds[0].quota == 0.9999999999999999 / (seats + 1)
+
+    def test_fold_is_a_plain_left_fold(self):
+        # A compensated sum, like sum() of floats from Python 3.12, gives 2.0.
+        xs = [1.0, 1e100, 1.0, -1e100]
+        assert _fold(xs) == reduce(operator.add, xs, 0.0) == 0.0
+        assert type(_fold(xs)) is float and type(_fold([])) is float
 
     def test_keep_factors_never_increase_across_rounds(self):
         ballots = [
@@ -377,6 +387,116 @@ class TestBallotParsing:
         with pytest.raises(ParseError):
             parse_ballots(["3 : A > A"])
 
+    @pytest.mark.parametrize("canonical, variants", [
+        ("2 : A > B > C", [
+            "2:A>B>C",
+            "2\t:\tA\t>\tB\t>\tC",
+            "2  :  A  >  B  >  C",
+            "  2 : A > B > C  ",
+            "2 : A > B > C\r\n",
+            "2 : A > B > C\n",
+            "2 : A > B > C  # a comment",
+            "2 : A>B > C",
+            "2.0 : A > B > C",
+        ]),
+        ("1 : New York > Los Angeles > Boston", [
+            "1:New York>Los Angeles>Boston",
+            "1 :  New York  >  Los Angeles\t> Boston # east and west",
+            "1 : New York > Los Angeles > Boston\r\n",
+        ]),
+        ("3 : solo", ["3:solo", "3 :solo\r\n", "3: solo # alone"]),
+        # Only the first colon ends the weight.
+        ("1 : 2 : a", ["1:2 : a", "1 :2 : a  # c"]),
+    ])
+    def test_spacing_variants_parse_as_the_canonical_line(self, canonical, variants):
+        expected = parse_ballots([canonical])
+        for variant in variants:
+            assert parse_ballots([variant]) == expected, variant
+
+    @pytest.mark.parametrize("line, message", [
+        ("a>b > c", "expected '<weight> : <ranking>'"),
+        ("3 : a > > b", "empty candidate name"),
+        ("3 : A > A", "ballot ranks a candidate twice: ('A', 'A')"),
+        ("1 :", "empty candidate name"),
+        ("1 : a >", "empty candidate name"),
+        ("ten : A", "bad weight 'ten'"),
+        (": a", "bad weight ''"),
+    ])
+    def test_bad_lines_keep_their_message_and_line_number(self, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_ballots(["# header", "1 : z", line + "\n"])
+        assert str(info.value) == f"ballot line 3: {message}"
+
     def test_first_preference_totals(self):
         totals = first_preference_totals(HAND_BALLOTS, ["A", "B", "C"])
         assert totals == {"A": 10.0, "B": 6.0, "C": 4.0}
+
+
+def _perturbed(rng, order, max_swaps=3):
+    """``order`` after a few random swaps of neighbours."""
+    ballot = list(order)
+    for _ in range(rng.randint(0, max_swaps)):
+        i = rng.randrange(len(ballot) - 1)
+        ballot[i], ballot[i + 1] = ballot[i + 1], ballot[i]
+    return ballot
+
+
+def party_shaped_election(rng):
+    """Ballots around a few party orderings, so most share long prefixes:
+    each follows one ordering, with neighbour swaps, sometimes a candidate
+    promoted to the top, and a cut-off tail."""
+    n = rng.randint(10, 20)
+    candidates = [f"cand{i:02d}" for i in range(n)]
+    orders = [rng.sample(candidates, n) for _ in range(rng.randint(2, 4))]
+    shares = [rng.uniform(1, 3) for _ in orders]
+    ballots = []
+    for _ in range(rng.randint(1000, 4000)):
+        ballot = _perturbed(rng, rng.choices(orders, weights=shares)[0])
+        if rng.random() < 0.1:
+            ballot.insert(0, ballot.pop(rng.randrange(n)))
+        ballots.append(tuple(ballot[: rng.randint(2, n)]))
+    return ballots, candidates, rng.randint(3, 6)
+
+
+def spread_shaped_election(rng):
+    """Ballots around many Plackett-Luce orderings, which share only short
+    prefixes."""
+    n = rng.randint(10, 20)
+    candidates = [f"cand{i:02d}" for i in range(n)]
+    strength = {c: 0.85**i for i, c in enumerate(rng.sample(candidates, n))}
+    orders = [
+        sorted(candidates, key=lambda c: -math.log(1.0 - rng.random()) / strength[c])
+        for _ in range(rng.randint(50, 200))
+    ]
+    ballots = [
+        tuple(_perturbed(rng, rng.choice(orders))[: rng.randint(4, n)])
+        for _ in range(rng.randint(1000, 4000))
+    ]
+    return ballots, candidates, rng.randint(3, 6)
+
+
+class TestMeekAtBenchmarkSharing:
+    """The count against the per-ballot walk on elections shaped like the
+    benchmark's: many repeated rankings, with long shared prefixes (party)
+    or short ones (spread). Repeated rankings share one ``Ballot`` object,
+    as ``parse_ballots`` makes them."""
+
+    @pytest.mark.parametrize("shape, seed", [
+        (party_shaped_election, 1), (party_shaped_election, 2), (party_shaped_election, 3),
+        (spread_shaped_election, 1), (spread_shaped_election, 2), (spread_shaped_election, 3),
+    ])
+    def test_matches_per_ballot_walk(self, shape, seed):
+        rng = random.Random(f"{shape.__name__}-{seed}")
+        rankings, candidates, seats = shape(rng)
+        shared = {}
+        weights = [1.0, 1.0, 1.0, 2.0, 0.5, 0.0]
+        ballots = [
+            shared.setdefault((r, w), Ballot(r, w))
+            for r, w in zip(rankings, rng.choices(weights, k=len(rankings)))
+        ]
+        result = meek_count(ballots, candidates, seats)
+        assert repr(result) == repr(meek_count_per_ballot(ballots, candidates, seats))
+        # Both kinds of status change re-path ballots: an election (a winner
+        # whose keep factor left 1) and an exclusion.
+        assert any(result.keep_factors[w] < 1.0 for w in result.winners)
+        assert any(e.kind is EventKind.EXCLUDED for r in result.rounds for e in r.events)
