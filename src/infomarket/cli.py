@@ -250,6 +250,10 @@ def main(argv=None) -> int:
             "grid": _parse_grid(args.grid) if args.grid is not None else None,
         }
         header, rows = _RUNNERS[args.subcommand](scenario, ctx)
+        os.makedirs(args.out, exist_ok=True)
+        out_path = os.path.join(args.out, f"{scenario.name}_{args.subcommand}.csv")
+        with open(out_path, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows([header, *rows])
     except InfoMarketError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
         return 1
@@ -263,12 +267,6 @@ def main(argv=None) -> int:
         print("error [input]: a result is too large to compute: an input value is out of range",
               file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"{scenario.name}_{args.subcommand}.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
     return 0
 
 

@@ -169,13 +169,13 @@ class _PathTally:
 
     A kind is one distinct ``Ballot`` object. A path moves only when a
     candidate on it changes status (its keep factor leaves 1 or reaches 0),
-    so only the kinds whose path holds that candidate are re-pathed: for an
-    election or an exclusion, the kinds that end at it. New nodes are
-    appended, and only the gathers that changed are rebuilt. A candidate's
-    gather is a node per ballot that reaches it, in ballot order: a winner's
-    own node (its ``kept``) or a keep-1 candidate's parent node (its
-    leftover). The last gather holds the end nodes of the paths that stop
-    short of a keep-1 candidate, whose leftover exhausts.
+    so only the kinds whose path holds that candidate are walked again from
+    their roots. New nodes are appended, and only the gathers that changed
+    are rebuilt. A candidate's gather is a node per ballot that reaches it,
+    in ballot order: a winner's own node (its ``kept``) or a keep-1
+    candidate's parent node (its leftover). The last gather holds the end
+    nodes of the paths that stop short of a keep-1 candidate, whose leftover
+    exhausts.
 
     Each total is a left fold with plain ``+`` in ballot order over the
     ballots that reach the candidate (the ones left out would add only
@@ -192,6 +192,9 @@ class _PathTally:
             raise UnknownCandidate(f"ballot ranks unknown candidate {exc.args[0]!r}") from None
         kind_of = {id(b): k for k, b in enumerate(kinds)}
         self._kind = list(map(kind_of.__getitem__, map(id, ballots)))
+        self._members: list[list[int]] = [[] for _ in kinds]  # ballot positions, ascending
+        for i, k in enumerate(self._kind):
+            self._members[k].append(i)
         # Node 0 is on no path, so 0 can mean "no node"; the roots come next.
         roots: dict[float, int] = {}
         self._root = [roots.setdefault(b.weight, len(roots) + 1) for b in kinds]
@@ -199,122 +202,79 @@ class _PathTally:
         self._nodes = len(self._start)
         self._child: dict[tuple[int, int], int] = {}
         # Batches of appended nodes, each with its parents in earlier batches:
-        # (first node, parents, candidates, and a gather of each).
-        self._batches: list[tuple[int, list[int], list[int], Callable, Callable]] = []
+        # a gather of the parents and one of the candidates.
+        self._batches: list[tuple[Callable, Callable]] = []
         self._n = n = len(ids)
         # Row c holds each kind's node for candidate c (0: its path misses c)
         # and the ballot positions that reach c, ascending; the last row holds
-        # the end nodes of the open paths. At the start every candidate has
-        # keep 1, so a path is the first choice alone, reached from the root;
-        # an empty ranking is open at its root, and a weight-0 ballot, which
-        # gives nothing to anyone, is on no row.
+        # the end nodes of the open paths. A weight-0 ballot, which gives
+        # nothing to anyone, is on no row.
         self._state = [2] * n
-        self._paths = [r[:1] for r in self._rankings]
         self._rows = [[0] * len(kinds) for _ in range(n + 1)]
-        home = []  # the row each kind starts on (n + 1: none)
-        for k, b in enumerate(kinds):
-            row = self._paths[k][0] if self._paths[k] else n
-            if b.weight > 0.0:
-                self._rows[row][k] = self._root[k]
-            else:
-                row = n + 1
-            home.append(row)
-        self._members: list[list[int]] = [[] for _ in kinds]  # ballot positions, ascending
-        self._reach: list[list[int]] = [[] for _ in range(n + 2)]
-        for i, k in enumerate(self._kind):
-            self._members[k].append(i)
-            self._reach[home[k]].append(i)
-        self._reach.pop()
-        self._gathers = [self._gather_row(row) for row in range(n + 1)]
+        self._reach: list[list[int]] = [[] for _ in range(n + 1)]
+        self._gathers: list = [None] * (n + 1)  # the first walk builds them all
+        self._walk([k for k, b in enumerate(kinds) if b.weight > 0.0], range(n + 1))
+
+    def _walk(self, kinds: Iterable[int], changed: Iterable[int]) -> None:
+        """Walks each of ``kinds`` from its weight's root under the current
+        state, and rebuilds the gathers of ``changed`` and of every row that
+        gained a kind or changed one's node."""
+        state, rows, n = self._state, self._rows, self._n
+        joined: dict[int, list[int]] = defaultdict(list)  # row -> the kinds that join it
+        redo = set(changed)
+        # (kind, node reached, the candidates left on its path)
+        tails = [(k, self._root[k], filter(state.__getitem__, self._rankings[k])) for k in kinds]
+        # Depth by depth, so each batch of new nodes has its parents in earlier batches.
+        while tails:
+            parents: list[int] = []
+            cands: list[int] = []
+            going = []
+            for k, end, path in tails:
+                c = next(path, n)  # n: the path is open, and its leftover exhausts
+                node = end
+                if c < n and state[c] == 1:
+                    node = self._child.setdefault((end, c), self._nodes)
+                    if node == self._nodes:
+                        self._nodes += 1
+                        parents.append(end)
+                        cands.append(c)
+                    going.append((k, node, path))
+                if not rows[c][k]:
+                    joined[c].append(k)
+                elif rows[c][k] != node:
+                    redo.add(c)
+                rows[c][k] = node
+            if parents:
+                self._batches.append((_gather(parents), _gather(cands)))
+            tails = going
+        for row in redo.union(joined):
+            if row in joined:
+                reach = self._reach[row]
+                reach += chain.from_iterable(map(self._members.__getitem__, joined[row]))
+                reach.sort()  # ascending runs (the old reach, each kind's members): merged
+            self._gathers[row] = self._gather_row(row)
 
     def _gather_row(self, row: int) -> Callable[[Sequence], Sequence]:
         """The nodes of the ballots that reach ``row``, in ballot order."""
         return _gather(_gather(_gather(self._reach[row])(self._kind))(self._rows[row]))
 
     def _repath(self, state: list[int]) -> None:
-        """Moves the kinds whose path holds a candidate whose status changed.
+        """Walks again the kinds whose path holds a candidate whose status changed.
 
         Keep factors never rise, so a path can only grow past a candidate
-        that left keep 1 and lose candidates that reached keep 0. A live
-        candidate's row and the open row therefore only gain kinds, or change
-        a kind's node (a candidate elected, or one above it dropped out).
+        that left keep 1 and lose candidates that reached keep 0, whose rows
+        are cleared. Every other row only gains kinds, or changes a kind's
+        node (a candidate elected, or one above it dropped out).
         """
-        rows, paths, was = self._rows, self._paths, self._state
-        changed = [c for c, (s, t) in enumerate(zip(state, was)) if s != t]
-        kinds = range(len(paths))
-        moved = sorted(set(chain.from_iterable(compress(kinds, rows[c]) for c in changed)))
-        added: dict[int, list[int]] = defaultdict(list)  # row -> the kinds that now reach it
-        touched = set(changed)  # rows where a node changed or left
-        tails = []  # [kind, node of the prefix kept, the rest of the path]
-        staying = [s == t == 1 for s, t in zip(state, was)]  # winners before and after
-        for k in moved:
-            # The winners that stay keep their nodes; the walk goes on after them.
-            old, ranking = paths[k], self._rankings[k]
-            same = 0
-            for c in old:
-                if not staying[c]:
-                    break
-                same += 1
-            path = old[:same]
-            for c in ranking[ranking.index(path[-1]) + 1 if path else 0:]:
-                if state[c]:
-                    path.append(c)
-                    if state[c] == 2:
-                        break
-            for c in old[same:]:
-                if c not in path:
-                    rows[c][k] = 0
-            tails.append([k, rows[old[same - 1]][k] if same else self._root[k], path[same:]])
-            paths[k] = path
-        # Depth by depth, so each batch of new nodes has its parents in earlier batches.
-        step = [tail for tail in tails if tail[2]]
-        depth = 0
-        while step:
-            first = self._nodes
-            parents: list[int] = []
-            cands: list[int] = []
-            for tail in step:
-                k, end, rest = tail
-                c = rest[depth]
-                if state[c] == 1:
-                    node = tail[1] = self._child.setdefault((end, c), self._nodes)
-                    if node == self._nodes:
-                        self._nodes += 1
-                        parents.append(end)
-                        cands.append(c)
-                else:
-                    node = end
-                if not rows[c][k]:
-                    added[c].append(k)
-                elif rows[c][k] != node:
-                    touched.add(c)
-                rows[c][k] = node
-            if parents:
-                batches = self._batches
-                if batches and max(parents) < batches[-1][0]:
-                    # All the parents come before the last batch: join it.
-                    first, last_parents, last_cands = batches.pop()[:3]
-                    parents = last_parents + parents
-                    cands = last_cands + cands
-                batches.append((first, parents, cands, _gather(parents), _gather(cands)))
-            depth += 1
-            step = [tail for tail in step if len(tail[2]) > depth]
-        open_row = rows[-1]
-        for k, end, _ in tails:
-            if not (paths[k] and state[paths[k][-1]] == 2):
-                if not open_row[k]:
-                    added[self._n].append(k)
-                elif open_row[k] != end:
-                    touched.add(self._n)
-                open_row[k] = end
+        changed = [c for c, (s, t) in enumerate(zip(state, self._state)) if s != t]
+        kinds = range(len(self._rankings))
+        moved = sorted(set(chain.from_iterable(compress(kinds, self._rows[c]) for c in changed)))
         self._state = state
-        for row in touched.union(added):
-            reach = self._reach[row] if row == self._n or state[row] else []
-            if row in added:
-                joining = chain.from_iterable(map(self._members.__getitem__, added[row]))
-                reach = sorted(reach + sorted(joining))  # two runs: one merge
-            self._reach[row] = reach
-            self._gathers[row] = self._gather_row(row)
+        for c in changed:
+            if not state[c]:
+                self._rows[c] = [0] * len(kinds)
+                self._reach[c] = []
+        self._walk(moved, changed)
 
     def distribute(
         self, keep: Sequence[float], reading: Iterable[int]
@@ -327,7 +287,7 @@ class _PathTally:
             self._repath(state)
         rem = self._start[:]
         kept = [0.0] * len(rem)
-        for *_, parents, cands in self._batches:
+        for parents, cands in self._batches:
             arriving = parents(rem)
             shares = list(map(operator.mul, arriving, cands(keep)))
             kept += shares
@@ -487,23 +447,11 @@ def parse_ballots(lines: Iterable[str]) -> list[Ballot]:
 
 def _parse_line(line: str, lineno: int) -> Ballot:
     """One stripped, comment-free ballot line."""
-    tokens = line.split()
-    seps = tokens[1::2]
-    # The common spacing, ``w : a > b > c``: the tokens alternate with a
-    # colon and then ">"s as separators, and no name holds a ">" or a space.
-    if (
-        seps[:1] == [":"]
-        and len(tokens) % 2
-        and ":" not in tokens[0]
-        and seps.count(">") == line.count(">") == len(seps) - 1
-    ):
-        weight_text, names = tokens[0], tokens[2::2]
-    else:
-        if ":" not in line:
-            raise ParseError(f"ballot line {lineno}: expected '<weight> : <ranking>'")
-        weight_text, ranking_text = line.split(":", 1)
-        weight_text = weight_text.strip()
-        names = [tok.strip() for tok in ranking_text.split(">")]
+    if ":" not in line:
+        raise ParseError(f"ballot line {lineno}: expected '<weight> : <ranking>'")
+    weight_text, ranking_text = line.split(":", 1)
+    weight_text = weight_text.strip()
+    names = list(map(str.strip, ranking_text.split(">")))
     try:
         weight = float(weight_text)
     except ValueError:

@@ -5,10 +5,11 @@ enumerator checks blocking pairs itself, the Nash oracle builds best-response
 sets, the path oracle walks every simple path, the plurality recount keeps a
 by-name ``Counter``, and the Meek counts walk every ballot: one in floats, one
 that stops once the seats are filled, and one in exact rationals. The
-name-keyed deferred
-acceptance and route search are the kernels as they were before agents and
-nodes became list positions, kept so the position-keyed ones can be held to
-the same results bit for bit.
+name-keyed deferred acceptance and route search are the kernels as they were
+before agents and nodes became list positions, and the history-scanning game
+is the iterated game whose rules read both whole histories every round; each
+is kept so a kernel rewritten for speed can be held to the same results bit
+for bit. The diminishing utility is a running fold over the harmonic terms.
 """
 
 import heapq
@@ -16,14 +17,19 @@ import itertools
 import math
 import operator
 from collections import Counter, deque
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
 from infomarket.errors import NonConvergence, Unreachable
+from infomarket.game import AcceptanceRule, GameState
+from infomarket.market import NewsType as Action
 from infomarket.matching import PROVIDERS, Matching
+from infomarket.payoffs import HarmPayoffParams, harm_payoff
 from infomarket.voting import CountEvent, CountRound, ElectionResult, EventKind
 
 
@@ -260,6 +266,27 @@ class _Status(Enum):
 _KEEP_ITERATION_CAP = 1000
 
 
+def distribute_per_ballot(ballots, keep):
+    """Each candidate's retained weight, and the exhausted weight, walking
+    every ballot in turn: ``kept = w * k`` then ``w -= kept`` at each ranked
+    candidate with keep factor ``k > 0``, and each total a left fold in
+    ballot order. ``keep`` maps every candidate id to its keep factor."""
+    totals = dict.fromkeys(keep, 0.0)
+    exhausted = 0.0
+    for ballot in ballots:
+        w = ballot.weight
+        for cand in ballot.ranking:
+            if w <= 0.0:
+                break
+            k = keep[cand]
+            if k > 0.0:
+                kept = w * k
+                totals[cand] += kept
+                w -= kept
+        exhausted += w
+    return totals, exhausted
+
+
 def meek_count_per_ballot(ballots, candidates, seats, tolerance=1e-9):
     """Reference for ``voting.meek_count``: each pass walks every ballot in turn.
 
@@ -275,28 +302,12 @@ def meek_count_per_ballot(ballots, candidates, seats, tolerance=1e-9):
     winners: list[str] = []
     rounds: list[CountRound] = []
 
-    def distribute() -> tuple[dict[str, float], float]:
-        totals = {c: 0.0 for c in ids}
-        exhausted = 0.0
-        for ballot in ballots:
-            w = ballot.weight
-            for cand in ballot.ranking:
-                if w <= 0.0:
-                    break
-                k = keep[cand]
-                if k > 0.0:
-                    kept = w * k
-                    totals[cand] += kept
-                    w -= kept
-            exhausted += w
-        return totals, exhausted
-
     def quota_of(exhausted: float) -> float:
         return (total_weight - exhausted) / (seats + 1)
 
     while True:
         events: list[CountEvent] = []
-        totals, exhausted = distribute()
+        totals, exhausted = distribute_per_ballot(ballots, keep)
         quota = quota_of(exhausted)
         converged = False
         for _ in range(_KEEP_ITERATION_CAP):
@@ -332,7 +343,7 @@ def meek_count_per_ballot(ballots, candidates, seats, tolerance=1e-9):
             for c in ids:
                 if status[c] is _Status.ELECTED and totals[c] > quota:
                     keep[c] = keep[c] * quota / totals[c]
-            totals, exhausted = distribute()
+            totals, exhausted = distribute_per_ballot(ballots, keep)
             quota = quota_of(exhausted)
         if not converged:
             raise NonConvergence(
@@ -499,3 +510,111 @@ def meek_count_exact(ballots, candidates, seats, tolerance=Fraction(1, 10**12), 
         rounds.append((totals, quota, exhausted, events))
         if done:
             return winners, rounds, margin
+
+
+# The iterated provision game with every strategy rule reading the whole
+# histories each round: copies of the four built-in rules and of
+# ``play_iterated``, so a rewrite of the game can be held to them bit for bit.
+
+@dataclass(frozen=True)
+class HistoryStrategy:
+    """Named decision rule: (own history, opponent history, round index) -> Action."""
+
+    name: str
+    rule: Callable
+
+    def act(self, own, opponent, round_index) -> Action:
+        return self.rule(own, opponent, round_index)
+
+
+def always_true() -> HistoryStrategy:
+    return HistoryStrategy("AlwaysTrue", lambda own, opp, r: Action.TRUE)
+
+
+def always_fake() -> HistoryStrategy:
+    return HistoryStrategy("AlwaysFake", lambda own, opp, r: Action.FAKE)
+
+
+def tit_for_tat() -> HistoryStrategy:
+    """Open truthfully, then mirror the opponent's previous action."""
+
+    def rule(own, opp, r):
+        return opp[-1] if opp else Action.TRUE
+
+    return HistoryStrategy("TitForTat", rule)
+
+
+def grim_trigger() -> HistoryStrategy:
+    """Truthful until the opponent deceives once, then deceive forever."""
+
+    def rule(own, opp, r):
+        return Action.FAKE if Action.FAKE in opp else Action.TRUE
+
+    return HistoryStrategy("GrimTrigger", rule)
+
+
+HISTORY_STRATEGIES = {
+    "AlwaysTrue": always_true,
+    "AlwaysFake": always_fake,
+    "TitForTat": tit_for_tat,
+    "GrimTrigger": grim_trigger,
+}
+
+
+def play_iterated_by_history(
+    strategies: tuple[HistoryStrategy, HistoryStrategy],
+    params: HarmPayoffParams = HarmPayoffParams(),
+    rounds: int = 1,
+    harm_rule: str = "own",
+    acceptance_rule: AcceptanceRule = AcceptanceRule(),
+) -> GameState:
+    """Reference for ``game.play_iterated``: both whole histories go to each
+    rule every round. Under ``"own"`` a player's harm rises by one per
+    deceptive action of their own, under ``"any"`` by the round's deceptive
+    actions from both players."""
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if harm_rule not in ("own", "any"):
+        raise ValueError(f"harm_rule must be 'own' or 'any', got {harm_rule!r}")
+    histories: tuple[list[Action], list[Action]] = ([], [])
+    harm = [0.0, 0.0]
+    payoffs: tuple[list[float], list[float]] = ([], [])
+    acceptance = [0.0, 0.0]
+    acc_trace: tuple[list[float], list[float]] = ([], [])
+    for r in range(rounds):
+        actions = (
+            strategies[0].act(histories[0], histories[1], r),
+            strategies[1].act(histories[1], histories[0], r),
+        )
+        fakes_in_round = sum(1 for a in actions if a is Action.FAKE)
+        for i in (0, 1):
+            payoffs[i].append(harm_payoff(params, actions[i], harm[i]))
+            histories[i].append(actions[i])
+            if harm_rule == "own":
+                if actions[i] is Action.FAKE:
+                    harm[i] += 1.0
+            else:
+                harm[i] += float(fakes_in_round)
+            acceptance[i] += acceptance_rule.gain(actions[i])
+            acc_trace[i].append(acceptance[i])
+    return GameState(
+        round=rounds,
+        histories=(tuple(histories[0]), tuple(histories[1])),
+        harm=(harm[0], harm[1]),
+        cumulative_payoffs=tuple(reduce(operator.add, p, 0) for p in payoffs),
+        acceptance=(acceptance[0], acceptance[1]),
+        round_payoffs=(tuple(payoffs[0]), tuple(payoffs[1])),
+        acceptance_trace=(tuple(acc_trace[0]), tuple(acc_trace[1])),
+    )
+
+
+def utility_running_fold(scale, k_max):
+    """Reference for the diminishing ``dynamics.utility``: its values at
+    k = 0, 1, ..., k_max as one running left fold, ``total += scale / i``
+    from 0, so each value adds the same terms in the same order."""
+    totals = [0]
+    total = 0
+    for i in range(1, k_max + 1):
+        total += scale / i
+        totals.append(total)
+    return totals

@@ -80,6 +80,20 @@ def test_missing_scenario_file_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, message", [
+    ("a_file", "File exists"),
+    ("a_file/sub", "Not a directory"),
+    (".", "Is a directory"),  # where the CSV should go
+], ids=["out_is_a_file", "out_under_a_file", "csv_is_a_directory"])
+def test_unwritable_output_reported_in_one_line(out, message, scenario_dir, tmp_path, capsys):
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "newsroom_equilibrium.csv").mkdir()
+    scenario = scenario_dir / "newsroom.scn"
+    assert run_cli("equilibrium", "--scenario", str(scenario), "--out", str(tmp_path / out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [io]: ") and message in err and err.count("\n") == 1
+
+
 def test_missing_section_fails_with_context(tmp_path, capsys):
     path = tmp_path / "partial.scn"
     path.write_text("name = partial\n[payoffs]\nfake_base = 5\n")

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 
+from oracles import utility_running_fold
 from infomarket.dynamics import (
     CurveFamily,
     RetentionParams,
@@ -135,3 +137,19 @@ class TestIncrementProfile:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             check_increment_profile(diminishing_curve(), 1)
+
+
+@pytest.mark.parametrize("scale, k_max", [
+    (1.0, 3000), (0.1, 3000), (3.7, 3000), (0.0, 50), (1e-300, 200),
+    (Fraction(1), 1000), (Fraction(7, 3), 1000),
+])
+def test_diminishing_utility_matches_running_fold(scale, k_max):
+    """``utility`` and ``info_marginal_contribution`` bit for bit against one
+    running fold, at every k up to 200 and at seeded draws up to ``k_max``."""
+    expected = utility_running_fold(scale, k_max)
+    curve = diminishing_curve(scale)
+    rng = random.Random(f"utility-{scale!r}")
+    ks = sorted({*range(min(k_max, 200)), k_max - 1, *rng.sample(range(k_max), 10)})
+    for k in ks:
+        assert repr(utility(curve, k)) == repr(expected[k]), k
+        assert repr(info_marginal_contribution(curve, k)) == repr(expected[k + 1] - expected[k]), k

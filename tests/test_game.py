@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import nash_best_response
+from oracles import HISTORY_STRATEGIES, nash_best_response, play_iterated_by_history
 
 from infomarket.errors import EmptyInput
 from infomarket.game import (
@@ -210,3 +210,36 @@ def test_play_validation():
         play_iterated((always_true(), always_true()), rounds=0)
     with pytest.raises(ValueError):
         play_iterated((always_true(), always_true()), rounds=1, harm_rule="both")
+
+
+def _random_match_settings(rng, number):
+    """Payoffs, harm rule and acceptance gains for one match."""
+    return dict(
+        params=HarmPayoffParams(
+            fake_base=number(rng.uniform(-5, 10)),
+            harm_penalty=number(rng.uniform(0.01, 5)),
+            truth_payoff=number(rng.uniform(-5, 10)),
+        ),
+        harm_rule=rng.choice(["own", "any"]),
+        acceptance_rule=AcceptanceRule(number(rng.uniform(0, 5)), number(rng.uniform(0, 5))),
+    )
+
+
+@pytest.mark.parametrize("number", [float, lambda x: Fraction(x).limit_denominator(1000)],
+                         ids=["float", "fraction"])
+def test_play_iterated_matches_history_scanning_oracle(number):
+    """Every ordered strategy pair, self-play with one shared object, on
+    seeded payoffs, harm rules, acceptance gains and 1 to 500 rounds."""
+    rng = random.Random(f"history-oracle-{number is float}")
+    names = sorted(HISTORY_STRATEGIES)
+    for name_a in names:
+        for name_b in names:
+            for rounds in (1, 2, 500, rng.randint(3, 499)):
+                settings = _random_match_settings(rng, number)
+                a, b = strategy_by_name(name_a), strategy_by_name(name_b)
+                ref_a, ref_b = HISTORY_STRATEGIES[name_a](), HISTORY_STRATEGIES[name_b]()
+                if name_a == name_b:
+                    b, ref_b = a, ref_a
+                state = play_iterated((a, b), rounds=rounds, **settings)
+                expected = play_iterated_by_history((ref_a, ref_b), rounds=rounds, **settings)
+                assert repr(state) == repr(expected), (name_a, name_b, rounds)

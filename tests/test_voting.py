@@ -5,7 +5,12 @@ from functools import reduce
 
 import pytest
 
-from oracles import meek_count_exact, meek_count_per_ballot, meek_count_stop_at_fill
+from oracles import (
+    distribute_per_ballot,
+    meek_count_exact,
+    meek_count_per_ballot,
+    meek_count_stop_at_fill,
+)
 from infomarket.errors import (
     EmptyInput,
     InvalidSeats,
@@ -23,6 +28,7 @@ from infomarket.voting import (
     meek_count,
     parse_ballots,
     _fold,
+    _PathTally,
 )
 
 HAND_BALLOTS = [
@@ -500,3 +506,52 @@ class TestMeekAtBenchmarkSharing:
         # whose keep factor left 1) and an exclusion.
         assert any(result.keep_factors[w] < 1.0 for w in result.winners)
         assert any(e.kind is EventKind.EXCLUDED for r in result.rounds for e in r.events)
+
+
+def falling_keep_factors(rng, n, steps):
+    """Up to ``steps`` keep-factor vectors that never rise, starting from all
+    1.0. Each step changes the status of one to three candidates at once
+    (keep 1 to a winner in (0, 1), keep 1 to 0, a winner to 0) and may
+    squeeze the winners that stay. Yields each vector with the set of status
+    changes it made: "2>1", "2>0" and "1>0"."""
+    keep = [1.0] * n
+    for _ in range(steps):
+        live = [c for c in range(n) if keep[c] > 0.0]
+        if not live:
+            return
+        changes = set()
+        for c in rng.sample(live, min(len(live), rng.randint(1, 3))):
+            if keep[c] == 1.0 and rng.random() < 0.6:
+                keep[c] = rng.uniform(0.05, 0.95)
+                changes.add("2>1")
+            else:
+                changes.add("2>0" if keep[c] == 1.0 else "1>0")
+                keep[c] = 0.0
+        for c in range(n):
+            if 0.0 < keep[c] < 1.0 and rng.random() < 0.5:
+                keep[c] *= rng.uniform(0.5, 1.0)
+        yield list(keep), changes
+
+
+class TestPathTallyDistribute:
+    """``_PathTally.distribute`` against a walk over every ballot, as keep
+    factors fall and candidates change status, one or several at a time."""
+
+    def test_matches_per_ballot_walk_as_keep_factors_fall(self):
+        seen = set()
+        for seed in range(10):
+            rng = random.Random(f"tally-{seed}")
+            n = rng.randint(4, 9)
+            ids = [f"c{i}" for i in range(n)]
+            kinds = [
+                Ballot(tuple(rng.sample(ids, rng.randint(0, n))), rng.choice([1.0, 2.0, 0.5, 0.0]))
+                for _ in range(rng.randint(10, 40))
+            ]
+            ballots = [rng.choice(kinds) for _ in range(rng.randint(50, 200))]
+            tally = _PathTally(ballots, ids)
+            for keep, changes in falling_keep_factors(rng, n, 3 * n):
+                seen |= changes | ({"several"} if len(changes) > 1 else set())
+                totals, exhausted = tally.distribute(keep, range(n))
+                expected, left = distribute_per_ballot(ballots, dict(zip(ids, keep)))
+                assert repr((totals, exhausted)) == repr((list(expected.values()), left)), seed
+        assert seen == {"2>1", "2>0", "1>0", "several"}
