@@ -537,8 +537,9 @@ class TestPathTallyDistribute:
     """``_PathTally.distribute`` against a walk over every ballot, as keep
     factors fall and candidates change status, one or several at a time."""
 
-    def test_matches_per_ballot_walk_as_keep_factors_fall(self):
-        seen = set()
+    @staticmethod
+    def elections():
+        """Seeded (ids, ballots, tally, keep-vector steps) with shared kinds."""
         for seed in range(10):
             rng = random.Random(f"tally-{seed}")
             n = rng.randint(4, 9)
@@ -548,10 +549,52 @@ class TestPathTallyDistribute:
                 for _ in range(rng.randint(10, 40))
             ]
             ballots = [rng.choice(kinds) for _ in range(rng.randint(50, 200))]
-            tally = _PathTally(ballots, ids)
-            for keep, changes in falling_keep_factors(rng, n, 3 * n):
+            yield ids, ballots, _PathTally(ballots, ids), falling_keep_factors(rng, n, 3 * n)
+
+    def test_matches_per_ballot_walk_as_keep_factors_fall(self):
+        seen = set()
+        for ids, ballots, tally, steps in self.elections():
+            for keep, changes in steps:
                 seen |= changes | ({"several"} if len(changes) > 1 else set())
-                totals, exhausted = tally.distribute(keep, range(n))
+                totals, exhausted = tally.distribute(keep, range(len(ids)))
                 expected, left = distribute_per_ballot(ballots, dict(zip(ids, keep)))
-                assert repr((totals, exhausted)) == repr((list(expected.values()), left)), seed
+                assert repr((totals, exhausted)) == repr((list(expected.values()), left)), ids
         assert seen == {"2>1", "2>0", "1>0", "several"}
+
+    def test_each_gathered_node_is_on_the_ballots_current_path(self):
+        """Each row's gather holds, per ballot reaching the candidate, the
+        node of the ballot's current path up to the candidate (through a
+        winner, before a keep-1 one; the whole path on the last row). A stale
+        node that only adds a keep-0 step keeps the bits, so the totals alone
+        cannot show it."""
+        for ids, ballots, tally, steps in self.elections():
+            n = len(ids)
+            for keep, _ in steps:
+                tally.distribute(keep, range(n))
+                up = {node: (parent, c) for (parent, c), node in tally._child.items()}
+
+                def chain(node):  # (weight, candidate names) from the root to node
+                    names = []
+                    while node in up:
+                        node, c = up[node]
+                        names.append(ids[c])
+                    return tally._start[node], names[::-1]
+
+                expected = [[] for _ in range(n + 1)]
+                for b in ballots:
+                    if b.weight == 0.0:
+                        continue
+                    path = []
+                    for name in b.ranking:
+                        c = ids.index(name)
+                        if keep[c] == 1.0:
+                            expected[c].append((b.weight, path[:]))
+                            break
+                        if keep[c] > 0.0:
+                            path.append(name)
+                            expected[c].append((b.weight, path[:]))
+                    else:
+                        expected[n].append((b.weight, path))
+                nodes = range(tally._nodes)
+                for row in range(n + 1):
+                    assert list(map(chain, tally._gathers[row](nodes))) == expected[row], row
