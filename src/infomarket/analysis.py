@@ -68,8 +68,8 @@ def market_health(state: MarketState):
     Raises:
         NoMarket: both sides infeasible (or carrying zero quantity).
     """
-    q_fake = state.fake.quantity if state.fake is not None else 0.0
-    q_true = state.true.quantity if state.true is not None else 0.0
+    q_fake = state.fake.quantity if state.fake is not None else 0
+    q_true = state.true.quantity if state.true is not None else 0
     total = q_fake + q_true
     if total == 0:
         raise NoMarket("neither news type trades at equilibrium")
@@ -89,7 +89,7 @@ def state_at_reliability(scenario: MarketScenario, r: float) -> MarketState:
     Truthful demand keeps the fraction r of its intercept, deceptive demand
     the fraction 1 - r; a zeroed intercept makes that side infeasible.
     """
-    fake_b = scenario.fake.demand_intercept * (1.0 - r)
+    fake_b = scenario.fake.demand_intercept * (1 - r)
     true_b = scenario.true.demand_intercept * r
     fake = _solve_or_none(
         MarketParams(scenario.fake.supply_slope, fake_b, scenario.fake.demand_slope)

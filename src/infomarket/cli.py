@@ -8,7 +8,9 @@ Usage::
 Subcommands: equilibrium, match, game, vote-fptp, vote-meek, dynamics,
 sweep, path. Output lands in ``<out>/<scenario-name>_<subcommand>.csv`` and
 is byte-identical across reruns with the same inputs and seed. Each
-runner imports its own subsystem, so a run loads only the modules it uses.
+runner imports its own subsystem, so a run loads only the modules it uses,
+and yields its header and then each row as plain values: ``main`` writes
+every cell of the CSV.
 """
 
 from __future__ import annotations
@@ -32,27 +34,20 @@ def _require_section(scenario: Scenario, attr: str, section: str):
 def _run_equilibrium(scenario, ctx):
     from . import market
     section = _require_section(scenario, "market", "market.fake] / [market.true")
-    rows = []
+    yield "kind", "price", "quantity"
     for kind, params in ((market.NewsType.FAKE, section.fake),
                          (market.NewsType.TRUE, section.true)):
         eq = market.equilibrium_closed_form(params)
-        rows.append([kind.value, format_number(eq.price), format_number(eq.quantity)])
-    return ["kind", "price", "quantity"], rows
+        yield kind.value, eq.price, eq.quantity
 
 
 def _run_match(scenario, ctx):
     from . import matching
     profile = _require_section(scenario, "matching", "matching")
     result = matching.gale_shapley(profile, proposing=matching.PROVIDERS)
-    rows = []
+    yield "provider", "consumer", "provider_rank", "consumer_rank"
     for p, c in result.as_sorted_pairs():
-        rows.append([
-            p,
-            c,
-            str(profile.provider_prefs[p].index(c) + 1),
-            str(profile.consumer_prefs[c].index(p) + 1),
-        ])
-    return ["provider", "consumer", "provider_rank", "consumer_rank"], rows
+        yield p, c, profile.provider_prefs[p].index(c) + 1, profile.consumer_prefs[c].index(p) + 1
 
 
 def _run_game(scenario, ctx):
@@ -72,23 +67,11 @@ def _run_game(scenario, ctx):
             true_gain=section.true_acceptance, fake_gain=section.fake_acceptance
         ),
     )
-    rows = [
-        [
-            r.strategy_a,
-            r.strategy_b,
-            str(r.rounds),
-            format_number(r.payoff_a),
-            format_number(r.payoff_b),
-            "" if r.rounds_to_quota_a is None else str(r.rounds_to_quota_a),
-            "" if r.rounds_to_quota_b is None else str(r.rounds_to_quota_b),
-        ]
-        for r in table
-    ]
-    header = [
-        "strategy_a", "strategy_b", "rounds",
-        "payoff_a", "payoff_b", "rounds_to_quota_a", "rounds_to_quota_b",
-    ]
-    return header, rows
+    yield ("strategy_a", "strategy_b", "rounds",
+           "payoff_a", "payoff_b", "rounds_to_quota_a", "rounds_to_quota_b")
+    for r in table:
+        yield (r.strategy_a, r.strategy_b, r.rounds, r.payoff_a, r.payoff_b,
+               r.rounds_to_quota_a, r.rounds_to_quota_b)
 
 
 def _load_ballots(scenario, ctx):
@@ -106,50 +89,34 @@ def _run_vote_fptp(scenario, ctx):
     _, ballots, candidates = _load_ballots(scenario, ctx)
     totals = voting.first_preference_totals(ballots, candidates)
     result = voting.fptp_winner(totals)
-    rows = []
+    yield "candidate", "first_preference_votes", "winner", "tied"
     for cand in candidates:
         is_winner = cand == result.winner
-        rows.append([
-            cand,
-            format_number(totals[cand]),
-            "1" if is_winner else "0",
-            "1" if is_winner and result.tied else "0",
-        ])
-    return ["candidate", "first_preference_votes", "winner", "tied"], rows
+        yield cand, totals[cand], int(is_winner), int(is_winner and result.tied)
 
 
 def _run_vote_meek(scenario, ctx):
     from . import voting
     section, ballots, candidates = _load_ballots(scenario, ctx)
     result = voting.meek_count(ballots, candidates, section.seats, section.tolerance)
+    yield "round", "candidate", "total", "keep_factor", "quota", "exhausted", "status"
     status = {c: "hopeful" for c in candidates}
-    rows = []
     for round_no, rnd in enumerate(result.rounds, start=1):
         for event in rnd.events:
             status[event.candidate] = event.kind.value
         for cand in candidates:
-            rows.append([
-                str(round_no),
-                cand,
-                format_number(rnd.totals[cand]),
-                format_number(rnd.keep_factors[cand]),
-                format_number(rnd.quota),
-                format_number(rnd.exhausted),
-                status[cand],
-            ])
-    header = ["round", "candidate", "total", "keep_factor", "quota", "exhausted", "status"]
-    return header, rows
+            yield (round_no, cand, rnd.totals[cand], rnd.keep_factors[cand],
+                   rnd.quota, rnd.exhausted, status[cand])
 
 
 def _run_dynamics(scenario, ctx):
     from . import dynamics
     section = _require_section(scenario, "dynamics", "dynamics")
-    rows = []
+    yield "series", "parameter", "x", "value"
     for decay in section.decay_grid:
         params = dynamics.RetentionParams(initial=section.initial_retention, decay=decay)
         for t in range(section.horizon + 1):
-            value = dynamics.retention(params, t)
-            rows.append(["retention", format_number(decay), str(t), format_number(value)])
+            yield "retention", decay, t, dynamics.retention(params, t)
     curves = (
         ("diminishing_utility", dynamics.diminishing_curve(section.diminishing_scale)),
         ("compounding_utility",
@@ -157,14 +124,10 @@ def _run_dynamics(scenario, ctx):
     )
     for label, curve in curves:
         for k in range(section.horizon + 1):
-            rows.append([label, "", str(k), format_number(dynamics.utility(curve, k))])
+            yield label, None, k, dynamics.utility(curve, k)
         marginal_label = label.replace("_utility", "_marginal")
         for k in range(section.horizon):
-            rows.append([
-                marginal_label, "", str(k),
-                format_number(dynamics.info_marginal_contribution(curve, k)),
-            ])
-    return ["series", "parameter", "x", "value"], rows
+            yield marginal_label, None, k, dynamics.info_marginal_contribution(curve, k)
 
 
 def _run_sweep(scenario, ctx):
@@ -180,15 +143,12 @@ def _run_sweep(scenario, ctx):
     )
     before, after = analysis.comparative_sweep(base, changed, grid)
     # The first point has no left neighbour, so its marginal cell is empty.
-    marginals = [""]
+    marginals = [None]
     if len(grid) > 1:
-        pairs = analysis.reliability_marginal_contribution(after)
-        marginals += [format_number(m) for _, m in pairs]
-    rows = [
-        [format_number(r), format_number(h_before), format_number(h_after), marginal]
-        for (r, h_before), (_, h_after), marginal in zip(before.points, after.points, marginals)
-    ]
-    return ["reliability", "health_before", "health_after", "marginal"], rows
+        marginals += [m for _, m in analysis.reliability_marginal_contribution(after)]
+    yield "reliability", "health_before", "health_after", "marginal"
+    for (r, h_before), (_, h_after), marginal in zip(before.points, after.points, marginals):
+        yield r, h_before, h_after, marginal
 
 
 def _run_path(scenario, ctx):
@@ -198,7 +158,8 @@ def _run_path(scenario, ctx):
         raise ParseError("[analysis] needs graph, source and target for the path subcommand")
     graph = analysis.load_spread_graph(resolve_path(ctx["scenario_path"], section.graph))
     cost, path = analysis.min_cost_spread_path(graph, section.source, section.target)
-    return ["total_cost", "path"], [[format_number(cost), ">".join(path)]]
+    yield "total_cost", "path"
+    yield cost, ">".join(path)
 
 
 _RUNNERS = {
@@ -242,18 +203,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        seed = args.seed if args.seed is not None else scenario.seed
-        if seed < 0:
-            raise ParseError(f"--seed must be >= 0, got {seed}")
+        if args.seed is not None and args.seed < 0:
+            raise ParseError(f"--seed must be >= 0, got {args.seed}")
         ctx = {
             "scenario_path": args.scenario,
             "grid": _parse_grid(args.grid) if args.grid is not None else None,
         }
-        header, rows = _RUNNERS[args.subcommand](scenario, ctx)
+        # Every float is written by format_number, which raises on inf/nan
+        # before --out exists; csv writes str and int as text and None as "".
+        rows = [[format_number(v) if isinstance(v, float) else v for v in row]
+                for row in _RUNNERS[args.subcommand](scenario, ctx)]
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, f"{scenario.name}_{args.subcommand}.csv")
         with open(out_path, "w", encoding="utf-8", newline="") as f:
-            csv.writer(f, lineterminator="\n").writerows([header, *rows])
+            csv.writer(f, lineterminator="\n").writerows(rows)
     except InfoMarketError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
         return 1

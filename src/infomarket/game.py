@@ -8,9 +8,8 @@ rules marks the point where a player's output counts as common knowledge.
 Stage games can be scanned exhaustively for pure equilibria.
 """
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
+from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyInput
@@ -108,12 +107,14 @@ class GameState:
 
     ``histories``, ``round_payoffs`` and ``acceptance_trace`` are per player
     and per round; ``harm``, ``cumulative_payoffs`` and ``acceptance`` hold
-    the end-of-match values.
+    the end-of-match values. ``harm`` is a count of the deceptive plays
+    charged to each player under the harm rule. Payoffs and acceptance keep
+    the number type of the inputs (e.g. ``Fraction``).
     """
 
     round: int
     histories: tuple[tuple[Action, ...], tuple[Action, ...]]
-    harm: tuple[float, float]
+    harm: tuple[int, int]
     cumulative_payoffs: tuple[float, float]
     acceptance: tuple[float, float]
     round_payoffs: tuple[tuple[float, ...], tuple[float, ...]]
@@ -138,33 +139,33 @@ def play_iterated(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if harm_rule not in (HARM_PER_OWN_FAKE, HARM_PER_ANY_FAKE):
         raise ValueError(f"harm_rule must be 'own' or 'any', got {harm_rule!r}")
+    own = harm_rule == HARM_PER_OWN_FAKE
     histories: tuple[list[Action], list[Action]] = ([], [])
-    harm = [0.0, 0.0]
+    harm = [0, 0]
+    totals = [0, 0]
     payoffs: tuple[list[float], list[float]] = ([], [])
-    acceptance = [0.0, 0.0]
+    acceptance = [0, 0]
     acc_trace: tuple[list[float], list[float]] = ([], [])
     for r in range(rounds):
         actions = (
             strategies[0].act(histories[0], histories[1], r),
             strategies[1].act(histories[1], histories[0], r),
         )
-        fakes_in_round = sum(1 for a in actions if a is Action.FAKE)
+        fakes = (actions[0] is Action.FAKE, actions[1] is Action.FAKE)
         for i in (0, 1):
-            payoffs[i].append(harm_payoff(params, actions[i], harm[i]))
+            payoff = harm_payoff(params, actions[i], harm[i])
+            payoffs[i].append(payoff)
+            # A running left fold, not sum(): from Python 3.12 sum() compensates float sums.
+            totals[i] += payoff
             histories[i].append(actions[i])
-            if harm_rule == HARM_PER_OWN_FAKE:
-                if actions[i] is Action.FAKE:
-                    harm[i] += 1.0
-            else:
-                harm[i] += float(fakes_in_round)
+            harm[i] += fakes[i] if own else fakes[0] + fakes[1]
             acceptance[i] += acceptance_rule.gain(actions[i])
             acc_trace[i].append(acceptance[i])
-    # Payoffs total by a left fold, not sum(): from Python 3.12 sum() compensates float sums.
     return GameState(
         round=rounds,
         histories=(tuple(histories[0]), tuple(histories[1])),
         harm=(harm[0], harm[1]),
-        cumulative_payoffs=tuple(reduce(operator.add, p, 0) for p in payoffs),
+        cumulative_payoffs=(totals[0], totals[1]),
         acceptance=(acceptance[0], acceptance[1]),
         round_payoffs=(tuple(payoffs[0]), tuple(payoffs[1])),
         acceptance_trace=(tuple(acc_trace[0]), tuple(acc_trace[1])),
@@ -281,26 +282,24 @@ def run_tournament(
     runs produce identical output.
     """
     by_name = {s.name: s for s in sorted(strategies, key=lambda s: s.name)}
-    names = list(by_name)
     out = []
-    for i, name_a in enumerate(names):
-        for name_b in names[i:]:
-            state = play_iterated(
-                (by_name[name_a], by_name[name_b]),
-                params=params,
+    for name_a, name_b in combinations_with_replacement(by_name, 2):
+        state = play_iterated(
+            (by_name[name_a], by_name[name_b]),
+            params=params,
+            rounds=rounds,
+            harm_rule=harm_rule,
+            acceptance_rule=acceptance_rule,
+        )
+        out.append(
+            TournamentRow(
+                strategy_a=name_a,
+                strategy_b=name_b,
                 rounds=rounds,
-                harm_rule=harm_rule,
-                acceptance_rule=acceptance_rule,
+                payoff_a=state.cumulative_payoffs[0],
+                payoff_b=state.cumulative_payoffs[1],
+                rounds_to_quota_a=rounds_to_quota(state, 0, total_audience, seats),
+                rounds_to_quota_b=rounds_to_quota(state, 1, total_audience, seats),
             )
-            out.append(
-                TournamentRow(
-                    strategy_a=name_a,
-                    strategy_b=name_b,
-                    rounds=rounds,
-                    payoff_a=state.cumulative_payoffs[0],
-                    payoff_b=state.cumulative_payoffs[1],
-                    rounds_to_quota_a=rounds_to_quota(state, 0, total_audience, seats),
-                    rounds_to_quota_b=rounds_to_quota(state, 1, total_audience, seats),
-                )
-            )
+        )
     return out

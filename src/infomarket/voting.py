@@ -12,7 +12,7 @@ non-exhausted weight as the count progresses.
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain, compress

@@ -9,7 +9,8 @@ name-keyed deferred acceptance and route search are the kernels as they were
 before agents and nodes became list positions, and the history-scanning game
 is the iterated game whose rules read both whole histories every round; each
 is kept so a kernel rewritten for speed can be held to the same results bit
-for bit. The diminishing utility is a running fold over the harmonic terms.
+for bit. The diminishing utility is a running fold over the harmonic terms,
+and the health sweep solves each market in closed form.
 """
 
 import heapq
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from infomarket.errors import NonConvergence, Unreachable
+from infomarket.errors import NoMarket, NonConvergence, Unreachable
 from infomarket.game import AcceptanceRule, GameState
 from infomarket.market import NewsType as Action
 from infomarket.matching import PROVIDERS, Matching
@@ -577,9 +578,9 @@ def play_iterated_by_history(
     if harm_rule not in ("own", "any"):
         raise ValueError(f"harm_rule must be 'own' or 'any', got {harm_rule!r}")
     histories: tuple[list[Action], list[Action]] = ([], [])
-    harm = [0.0, 0.0]
+    harm = [0, 0]
     payoffs: tuple[list[float], list[float]] = ([], [])
-    acceptance = [0.0, 0.0]
+    acceptance = [0, 0]
     acc_trace: tuple[list[float], list[float]] = ([], [])
     for r in range(rounds):
         actions = (
@@ -592,9 +593,9 @@ def play_iterated_by_history(
             histories[i].append(actions[i])
             if harm_rule == "own":
                 if actions[i] is Action.FAKE:
-                    harm[i] += 1.0
+                    harm[i] += 1
             else:
-                harm[i] += float(fakes_in_round)
+                harm[i] += fakes_in_round
             acceptance[i] += acceptance_rule.gain(actions[i])
             acc_trace[i].append(acceptance[i])
     return GameState(
@@ -618,3 +619,28 @@ def utility_running_fold(scale, k_max):
         total += scale / i
         totals.append(total)
     return totals
+
+
+def health_sweep_closed_form(scenario, grid):
+    """Reference for one curve of ``analysis.comparative_sweep``: at each
+    reliability r the deceptive intercept is scaled by 1 - r and the truthful
+    one by r; a side whose scaled intercept b' is <= 0 trades nothing, any
+    other trades q = a*b'/(a + c), and health is q_true / (q_fake + q_true).
+
+    Raises:
+        NoMarket: both sides trade nothing at some r.
+    """
+
+    def quantity(params, b):
+        a, c = params.supply_slope, params.demand_slope
+        return a * b / (a + c) if b > 0 else 0
+
+    points = []
+    for r in grid:
+        b_fake = scenario.fake.demand_intercept * (1 - r)
+        b_true = scenario.true.demand_intercept * r
+        if b_fake <= 0 and b_true <= 0:
+            raise NoMarket(f"no side trades at reliability {r}")
+        q_fake, q_true = quantity(scenario.fake, b_fake), quantity(scenario.true, b_true)
+        points.append((r, q_true / (q_fake + q_true)))
+    return tuple(points)

@@ -51,6 +51,22 @@ def test_cumulative_payoff_is_a_left_fold():
     assert all(type(total) is Fraction for total in exact.cumulative_payoffs)
 
 
+@pytest.mark.parametrize("harm_rule", ["own", "any"])
+def test_exact_inputs_give_exact_payoffs_and_acceptance(harm_rule):
+    params = HarmPayoffParams(Fraction(5), Fraction(2), Fraction(3))
+    gains = AcceptanceRule(true_gain=Fraction(1, 3), fake_gain=Fraction(2, 3))
+    state = play_iterated((always_fake(), always_true()), params, rounds=3,
+                          harm_rule=harm_rule, acceptance_rule=gains)
+    assert state.round_payoffs == ((5, 3, 1), (3, 3, 3))
+    assert state.cumulative_payoffs == (9, 9)
+    assert state.acceptance == (2, 1)
+    assert state.harm == ((3, 0) if harm_rule == "own" else (3, 3))
+    exact = [*state.round_payoffs[0], *state.round_payoffs[1], *state.cumulative_payoffs,
+             *state.acceptance, *state.acceptance_trace[0], *state.acceptance_trace[1]]
+    assert all(type(x) is Fraction for x in exact)
+    assert all(type(h) is int for h in state.harm)
+
+
 def test_always_fake_payoff_sequence():
     state = play_iterated((always_fake(), always_true()), rounds=4)
     assert state.round_payoffs[0] == (5, 3, 1, -1)

@@ -1,12 +1,15 @@
-"""Property tests: scenario round trips, and malformed input fails only cleanly."""
+"""Property tests: scenario round trips, malformed input fails only cleanly, and
+plurality and the exact health sweep match their oracles."""
 
 import string
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infomarket.analysis import parse_spread_graph
-from infomarket.errors import InfoMarketError
+from infomarket.analysis import comparative_sweep, parse_spread_graph
+from infomarket.errors import InfoMarketError, NoMarket
 from infomarket.market import MarketParams, MarketScenario
 from infomarket.matching import PreferenceProfile
 from infomarket.payoffs import HarmPayoffParams
@@ -21,7 +24,7 @@ from infomarket.scenario import (
     serialize_scenario,
 )
 from infomarket.voting import Ballot, first_preference_totals, fptp_winner, parse_ballots
-from oracles import plurality_recount
+from oracles import health_sweep_closed_form, plurality_recount
 
 # Numbers go through format_number, so each one survives its own rendering.
 numbers = st.floats(-1e6, 1e6).map(lambda x: float(format_number(x)))
@@ -191,3 +194,28 @@ def test_plurality_matches_the_counter_recount_bit_for_bit(election):
     assert [x.hex() for x in got.values()] == [x.hex() for x in totals.values()]
     result = fptp_winner(got)
     assert (result.winner, result.tied) == (winner, tied)
+
+
+exact_positives = st.fractions(Fraction(1, 100), 100, max_denominator=100)
+exact_markets = st.builds(MarketParams, exact_positives,
+                          st.fractions(-20, 100, max_denominator=100), exact_positives)
+exact_pairs = st.builds(MarketScenario, exact_markets, exact_markets)
+# The ends 0 and 1 zero one side's intercept, so infeasible sides come up often.
+exact_grids = st.lists(
+    st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(0, 1, max_denominator=100),
+    min_size=1, max_size=8, unique=True,
+).map(lambda rs: tuple(sorted(rs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_pairs, exact_pairs, exact_grids)
+def test_exact_health_sweep_matches_the_closed_form(base, changed, grid):
+    try:
+        expected = [health_sweep_closed_form(scenario, grid) for scenario in (base, changed)]
+    except NoMarket:
+        with pytest.raises(NoMarket):
+            comparative_sweep(base, changed, grid)
+        return
+    curves = comparative_sweep(base, changed, grid)
+    assert [curve.points for curve in curves] == expected
+    assert all(type(h) is Fraction for curve in curves for _, h in curve.points)
