@@ -3,14 +3,13 @@
 Usage::
 
     infomarket <subcommand> --scenario path/to/file.scn --out outdir
-               [--seed N] [--grid 0.0,0.5,1.0]
 
 Subcommands: equilibrium, match, game, vote-fptp, vote-meek, dynamics,
 sweep, path. Output lands in ``<out>/<scenario-name>_<subcommand>.csv`` and
-is byte-identical across reruns with the same inputs and seed. Each
-runner imports its own subsystem, so a run loads only the modules it uses,
-and yields its header and then each row as plain values: ``main`` writes
-every cell of the CSV.
+is byte-identical across reruns with the same inputs: a run reads only its
+scenario and the files that scenario names. Each runner imports its own
+subsystem, so a run loads only the modules it uses, and yields its header and
+then each row as plain values: ``main`` writes every cell of the CSV.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ def _require_section(scenario: Scenario, attr: str, section: str):
     return value
 
 
-def _run_equilibrium(scenario, ctx):
+def _run_equilibrium(scenario, scenario_path):
     from . import market
     section = _require_section(scenario, "market", "market.fake] / [market.true")
     yield "kind", "price", "quantity"
@@ -41,7 +40,7 @@ def _run_equilibrium(scenario, ctx):
         yield kind.value, eq.price, eq.quantity
 
 
-def _run_match(scenario, ctx):
+def _run_match(scenario, scenario_path):
     from . import matching
     profile = _require_section(scenario, "matching", "matching")
     result = matching.gale_shapley(profile, proposing=matching.PROVIDERS)
@@ -50,7 +49,7 @@ def _run_match(scenario, ctx):
         yield p, c, profile.provider_prefs[p].index(c) + 1, profile.consumer_prefs[c].index(p) + 1
 
 
-def _run_game(scenario, ctx):
+def _run_game(scenario, scenario_path):
     from . import game
     from .payoffs import HarmPayoffParams
     section = _require_section(scenario, "game", "game")
@@ -74,19 +73,19 @@ def _run_game(scenario, ctx):
                r.rounds_to_quota_a, r.rounds_to_quota_b)
 
 
-def _load_ballots(scenario, ctx):
+def _load_ballots(scenario, scenario_path):
     from . import voting
     section = _require_section(scenario, "voting", "voting")
-    ballots = voting.load_ballot_file(resolve_path(ctx["scenario_path"], section.ballots))
+    ballots = voting.load_ballot_file(resolve_path(scenario_path, section.ballots))
     candidates = sorted({c for b in voting.distinct_ballots(ballots) for c in b.ranking})
     if not candidates:
         raise ParseError("ballot file holds no rankings")
     return section, ballots, candidates
 
 
-def _run_vote_fptp(scenario, ctx):
+def _run_vote_fptp(scenario, scenario_path):
     from . import voting
-    _, ballots, candidates = _load_ballots(scenario, ctx)
+    _, ballots, candidates = _load_ballots(scenario, scenario_path)
     totals = voting.first_preference_totals(ballots, candidates)
     result = voting.fptp_winner(totals)
     yield "candidate", "first_preference_votes", "winner", "tied"
@@ -95,9 +94,9 @@ def _run_vote_fptp(scenario, ctx):
         yield cand, totals[cand], int(is_winner), int(is_winner and result.tied)
 
 
-def _run_vote_meek(scenario, ctx):
+def _run_vote_meek(scenario, scenario_path):
     from . import voting
-    section, ballots, candidates = _load_ballots(scenario, ctx)
+    section, ballots, candidates = _load_ballots(scenario, scenario_path)
     result = voting.meek_count(ballots, candidates, section.seats, section.tolerance)
     yield "round", "candidate", "total", "keep_factor", "quota", "exhausted", "status"
     status = {c: "hopeful" for c in candidates}
@@ -109,7 +108,7 @@ def _run_vote_meek(scenario, ctx):
                    rnd.quota, rnd.exhausted, status[cand])
 
 
-def _run_dynamics(scenario, ctx):
+def _run_dynamics(scenario, scenario_path):
     from . import dynamics
     section = _require_section(scenario, "dynamics", "dynamics")
     yield "series", "parameter", "x", "value"
@@ -130,13 +129,13 @@ def _run_dynamics(scenario, ctx):
             yield marginal_label, None, k, dynamics.info_marginal_contribution(curve, k)
 
 
-def _run_sweep(scenario, ctx):
+def _run_sweep(scenario, scenario_path):
     from . import analysis
     base = _require_section(scenario, "market", "market.fake] / [market.true")
     analysis_section = _require_section(scenario, "analysis", "analysis")
-    grid = ctx["grid"] if ctx["grid"] is not None else analysis_section.reliability_grid
+    grid = analysis_section.reliability_grid
     if not grid:
-        raise ParseError("no reliability grid: set [analysis] reliability_grid or pass --grid")
+        raise ParseError("no reliability grid: set [analysis] reliability_grid")
     changed = analysis.MarketScenario(
         fake=analysis_section.changed_fake or base.fake,
         true=analysis_section.changed_true or base.true,
@@ -151,12 +150,12 @@ def _run_sweep(scenario, ctx):
         yield r, h_before, h_after, marginal
 
 
-def _run_path(scenario, ctx):
+def _run_path(scenario, scenario_path):
     from . import analysis
     section = _require_section(scenario, "analysis", "analysis")
     if not (section.graph and section.source and section.target):
         raise ParseError("[analysis] needs graph, source and target for the path subcommand")
-    graph = analysis.load_spread_graph(resolve_path(ctx["scenario_path"], section.graph))
+    graph = analysis.load_spread_graph(resolve_path(scenario_path, section.graph))
     cost, path = analysis.min_cost_spread_path(graph, section.source, section.target)
     yield "total_cost", "path"
     yield cost, ">".join(path)
@@ -176,13 +175,6 @@ _RUNNERS = {
 SUBCOMMANDS = tuple(_RUNNERS)
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ParseError(f"--grid expects comma-separated numbers, got {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infomarket",
@@ -193,9 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} pipeline of a scenario")
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", required=True, help="output directory for the CSV")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--grid", default=None,
-                       help="comma-separated reliability grid (sweep only)")
     return parser
 
 
@@ -203,16 +192,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        if args.seed is not None and args.seed < 0:
-            raise ParseError(f"--seed must be >= 0, got {args.seed}")
-        ctx = {
-            "scenario_path": args.scenario,
-            "grid": _parse_grid(args.grid) if args.grid is not None else None,
-        }
         # Every float is written by format_number, which raises on inf/nan
         # before --out exists; csv writes str and int as text and None as "".
         rows = [[format_number(v) if isinstance(v, float) else v for v in row]
-                for row in _RUNNERS[args.subcommand](scenario, ctx)]
+                for row in _RUNNERS[args.subcommand](scenario, args.scenario)]
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, f"{scenario.name}_{args.subcommand}.csv")
         with open(out_path, "w", encoding="utf-8", newline="") as f:

@@ -8,6 +8,7 @@ rules marks the point where a player's output counts as common knowledge.
 Stage games can be scanned exhaustively for pure equilibria.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
@@ -172,20 +173,25 @@ def play_iterated(
     )
 
 
+def _audience_quota(total_audience: float, seats: int) -> int:
+    """The Droop quota of a finite, positive audience."""
+    if not (math.isfinite(total_audience) and total_audience > 0):
+        raise ValueError(f"total_audience must be finite and > 0, got {total_audience}")
+    return droop_quota(total_audience, seats)
+
+
 def droop_acceptance_reached(
     state: GameState, player: int, total_audience: float, seats: int
 ) -> bool:
     """Whether a player's accumulated acceptance meets the quota threshold."""
-    if total_audience <= 0:
-        raise ValueError(f"total_audience must be > 0, got {total_audience}")
-    return state.acceptance[player] >= droop_quota(total_audience, seats)
+    return state.acceptance[player] >= _audience_quota(total_audience, seats)
 
 
 def rounds_to_quota(
     state: GameState, player: int, total_audience: float, seats: int
 ) -> int | None:
     """First round (1-based) at which the quota threshold is met, else None."""
-    quota = droop_quota(total_audience, seats)
+    quota = _audience_quota(total_audience, seats)
     for r, acc in enumerate(state.acceptance_trace[player], start=1):
         if acc >= quota:
             return r

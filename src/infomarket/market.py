@@ -138,16 +138,17 @@ def equilibrium_numeric(
     demand: Callable[[float], float],
     bracket: tuple[float, float],
     tolerance: float = DEFAULT_TOLERANCE,
-    check_monotone: bool = True,
 ) -> Equilibrium:
     """Find the clearing price of arbitrary curves by bisection.
 
     Requires supply nondecreasing and demand nonincreasing on the bracket,
-    and a sign change of supply - demand across it. Halving stops once the
-    residual satisfies ``|supply(p) - demand(p)| <= tolerance * (1 + |quantity|)``
-    and the bracket has shrunk below ``2 * tolerance`` (the returned midpoint
-    then sits within ``tolerance`` of the root), capped at
-    ``BISECTION_MAX_ITER`` halvings.
+    and a sign change of supply - demand across it. Both curves are always
+    probed at ``MONOTONE_SAMPLES`` evenly spaced prices before any halving.
+    Halving stops once the residual satisfies
+    ``|supply(p) - demand(p)| <= tolerance * (1 + |quantity|)`` and the
+    bracket has shrunk below ``2 * tolerance`` (the returned midpoint then
+    sits within ``tolerance`` of the root), capped at ``BISECTION_MAX_ITER``
+    halvings.
 
     Raises:
         NoRoot: no sign change of the excess supply over the bracket.
@@ -156,11 +157,10 @@ def equilibrium_numeric(
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-    if check_monotone:
-        if not _probe_monotone(supply, lo, hi, increasing=True):
-            raise NonMonotone("supply is not nondecreasing on the bracket")
-        if not _probe_monotone(demand, lo, hi, increasing=False):
-            raise NonMonotone("demand is not nonincreasing on the bracket")
+    if not _probe_monotone(supply, lo, hi, increasing=True):
+        raise NonMonotone("supply is not nondecreasing on the bracket")
+    if not _probe_monotone(demand, lo, hi, increasing=False):
+        raise NonMonotone("demand is not nonincreasing on the bracket")
 
     f_lo = supply(lo) - demand(lo)
     f_hi = supply(hi) - demand(hi)

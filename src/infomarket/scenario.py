@@ -284,13 +284,13 @@ def load_scenario(path) -> Scenario:
     """Read and parse a scenario file, checking that referenced files exist."""
     with open(path, encoding="utf-8") as f:
         scenario = parse_scenario(f.read())
-    base = os.path.dirname(os.path.abspath(path))
     for section in (scenario.voting, scenario.analysis):
         for f in fields(section) if section is not None else ():
             ref = getattr(section, f.name)
             if f.metadata.get("file") and ref is not None:
-                if not os.path.exists(os.path.join(base, ref)):
-                    raise ParseError(f"referenced file not found: {ref!r} (relative to {base})")
+                resolved = resolve_path(path, ref)
+                if not os.path.exists(resolved):
+                    raise ParseError(f"referenced file not found: {ref!r} (looked for {resolved})")
     return scenario
 
 

@@ -373,28 +373,39 @@ def test_lazy_package_exports_every_name():
 
 
 def test_grid_override_changes_sweep(scenario_dir, tmp_path):
-    scenario = scenario_dir / "newsroom.scn"
-    assert run_cli("sweep", "--scenario", str(scenario), "--out", str(tmp_path),
-                   "--grid", "0.25,0.75") == 0
+    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1",
+                           "reliability_grid = 0.25 0.75")
+    assert run_cli("sweep", "--scenario", str(path), "--out", str(tmp_path)) == 0
     lines = (tmp_path / "newsroom_sweep.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.75"]
 
 
 def test_one_point_grid_sweep_has_no_marginal(scenario_dir, tmp_path):
-    scenario = scenario_dir / "newsroom.scn"
-    assert run_cli("sweep", "--scenario", str(scenario), "--out", str(tmp_path),
-                   "--grid", "0.5") == 0
+    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1",
+                           "reliability_grid = 0.5")
+    assert run_cli("sweep", "--scenario", str(path), "--out", str(tmp_path)) == 0
     lines = (tmp_path / "newsroom_sweep.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("0.5,") and lines[1].endswith(",")
 
 
-def test_seed_override_accepted(scenario_dir, tmp_path):
-    scenario = scenario_dir / "newsroom.scn"
-    assert run_cli("game", "--scenario", str(scenario), "--out", str(tmp_path),
-                   "--seed", "123") == 0
-    assert run_cli("game", "--scenario", str(scenario), "--out", str(tmp_path),
-                   "--seed", "-1") == 1
+def test_sweep_without_reliability_grid_fails(scenario_dir, tmp_path, capsys):
+    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1\n", "")
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--scenario", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error [scenario]: no reliability grid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--grid", "0.5")], ids=["seed", "grid"])
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_removed_flags_are_usage_errors(subcommand, flag, scenario_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, "--scenario", str(scenario_dir / "newsroom.scn"),
+                "--out", str(tmp_path), *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_strategy_reported_cleanly(tmp_path, capsys):

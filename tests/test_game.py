@@ -150,6 +150,14 @@ def test_boundary_acceptance_values():
         AcceptanceRule(true_gain=-1.0)
 
 
+@pytest.mark.parametrize("audience", [0, -5, math.nan, math.inf])
+@pytest.mark.parametrize("quota_fn", [droop_acceptance_reached, rounds_to_quota])
+def test_non_positive_or_non_finite_audience_rejected(quota_fn, audience):
+    state = play_iterated((always_true(), always_true()), rounds=3)
+    with pytest.raises(ValueError, match="^total_audience must be finite and > 0, got "):
+        quota_fn(state, 0, audience, 2)
+
+
 def test_nash_prisoners_dilemma():
     assert nash_equilibria(PD) == [(Action.FAKE, Action.FAKE)]
 

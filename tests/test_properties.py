@@ -1,5 +1,6 @@
-"""Property tests: scenario round trips, malformed input fails only cleanly, and
-plurality and the exact health sweep match their oracles."""
+"""Property tests: scenario round trips, malformed input fails only cleanly,
+plurality and the exact health sweep match their oracles, and the game's two
+quota checks agree."""
 
 import string
 from fractions import Fraction
@@ -10,6 +11,14 @@ from hypothesis import strategies as st
 
 from infomarket.analysis import comparative_sweep, parse_spread_graph
 from infomarket.errors import InfoMarketError, NoMarket
+from infomarket.game import (
+    BUILTIN_STRATEGIES,
+    AcceptanceRule,
+    droop_acceptance_reached,
+    play_iterated,
+    rounds_to_quota,
+    strategy_by_name,
+)
 from infomarket.market import MarketParams, MarketScenario
 from infomarket.matching import PreferenceProfile
 from infomarket.payoffs import HarmPayoffParams
@@ -219,3 +228,22 @@ def test_exact_health_sweep_matches_the_closed_form(base, changed, grid):
     curves = comparative_sweep(base, changed, grid)
     assert [curve.points for curve in curves] == expected
     assert all(type(h) is Fraction for curve in curves for _, h in curve.points)
+
+
+builtin_strategies = st.sampled_from(sorted(BUILTIN_STRATEGIES)).map(strategy_by_name)
+gains = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(builtin_strategies, builtin_strategies, st.integers(1, 40), gains, gains,
+       st.floats(1e-3, 1e4), st.integers(1, 5))
+def test_rounds_to_quota_is_set_exactly_when_the_quota_is_reached(
+    player_a, player_b, rounds, true_gain, fake_gain, audience, seats
+):
+    # Acceptance never falls, so the quota is met at the end of the match
+    # exactly when it was first met in some round.
+    state = play_iterated((player_a, player_b), rounds=rounds,
+                          acceptance_rule=AcceptanceRule(true_gain, fake_gain))
+    for player in (0, 1):
+        reached = droop_acceptance_reached(state, player, audience, seats)
+        assert (rounds_to_quota(state, player, audience, seats) is not None) == reached
