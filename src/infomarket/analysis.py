@@ -108,10 +108,6 @@ def comparative_sweep(
     """Health across the reliability grid before and after a parameter change."""
     if not grid:
         raise ValueError("reliability grid must be nonempty")
-    if any(not 0 <= r <= 1 for r in grid):
-        raise ValueError("reliability grid values must lie in [0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("reliability grid must be strictly increasing")
     before = []
     after = []
     for r in grid:

@@ -2,7 +2,7 @@
 
 Usage::
 
-    infomarket <subcommand> --scenario path/to/file.scn --out outdir
+    infomarket [-h] --scenario SCENARIO --out OUT subcommand
 
 Subcommands: equilibrium, match, game, vote-fptp, vote-meek, dynamics,
 sweep, path. Output lands in ``<out>/<scenario-name>_<subcommand>.csv`` and
@@ -180,11 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="infomarket",
         description="Deterministic information-market simulations, one CSV per run.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} pipeline of a scenario")
-        p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--out", required=True, help="output directory for the CSV")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS, metavar="subcommand",
+                        help="the pipeline to run, one of: %(choices)s")
+    parser.add_argument("--scenario", required=True, help="scenario file path")
+    parser.add_argument("--out", required=True, help="output directory for the CSV")
     return parser
 
 

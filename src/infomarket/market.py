@@ -137,17 +137,16 @@ def equilibrium_numeric(
     supply: Callable[[float], float],
     demand: Callable[[float], float],
     bracket: tuple[float, float],
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> Equilibrium:
     """Find the clearing price of arbitrary curves by bisection.
 
     Requires supply nondecreasing and demand nonincreasing on the bracket,
     and a sign change of supply - demand across it. Both curves are always
     probed at ``MONOTONE_SAMPLES`` evenly spaced prices before any halving.
-    Halving stops once the residual satisfies
-    ``|supply(p) - demand(p)| <= tolerance * (1 + |quantity|)`` and the
-    bracket has shrunk below ``2 * tolerance`` (the returned midpoint then
-    sits within ``tolerance`` of the root), capped at ``BISECTION_MAX_ITER``
+    Halving stops at the fixed ``DEFAULT_TOLERANCE`` (tol below): once the
+    residual satisfies ``|supply(p) - demand(p)| <= tol * (1 + |quantity|)``
+    and the bracket has shrunk below ``2 * tol`` (the returned midpoint then
+    sits within ``tol`` of the root), capped at ``BISECTION_MAX_ITER``
     halvings.
 
     Raises:
@@ -175,7 +174,8 @@ def equilibrium_numeric(
     quantity = supply(mid)
     for _ in range(BISECTION_MAX_ITER):
         f_mid = quantity - demand(mid)
-        if abs(f_mid) <= tolerance * (1.0 + abs(quantity)) and hi - lo <= 2.0 * tolerance:
+        if (abs(f_mid) <= DEFAULT_TOLERANCE * (1.0 + abs(quantity))
+                and hi - lo <= 2.0 * DEFAULT_TOLERANCE):
             break
         if f_mid < 0:
             lo = mid

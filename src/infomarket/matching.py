@@ -165,8 +165,8 @@ def gale_shapley(profile: PreferenceProfile, proposing: str = PROVIDERS) -> Matc
         else:
             free.append(proposer)
 
-    # Build the pairs in first-held order so the frozenset, and any sum over it,
-    # iterates as it would over a receiver -> proposer dict.
+    # First-held order makes the frozenset's repr read as over a receiver ->
+    # proposer dict. No sum relies on it: the string hash seed moves it too.
     if proposing == PROVIDERS:
         pairs = frozenset((proposers[held[r]], receivers[r]) for r in first_held)
     else:
@@ -231,10 +231,9 @@ def marginal_contribution(
     Raises:
         UnknownId: the provider is not in the profile.
     """
-    if provider not in profile.providers:
-        raise UnknownId(f"unknown provider {provider!r}")
+    reduced = profile.without_provider(provider)
     with_p = gale_shapley(profile, proposing=PROVIDERS)
-    without_p = gale_shapley(profile.without_provider(provider), proposing=PROVIDERS)
+    without_p = gale_shapley(reduced, proposing=PROVIDERS)
     return value(with_p) - value(without_p)
 
 
@@ -249,11 +248,11 @@ def total_payoff_value(
     costs: CostSchedule,
     kind: NewsType,
 ) -> Callable[[Matching], float]:
-    """Default valuation: summed provider plus consumer payoff over matched pairs."""
+    """Default valuation: provider plus consumer payoff, summed over the sorted pairs."""
 
     def value(matching: Matching):
         total = 0.0
-        for p, c in matching.pairs:
+        for p, c in matching.as_sorted_pairs():
             total += provider_payoff(provider_params[p], kind, costs)
             total += consumer_payoff(consumer_params[c], kind, costs)
         return total

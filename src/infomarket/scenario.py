@@ -30,7 +30,6 @@ import math
 import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import repeat
 
 from .errors import MalformedProfile, ParseError
 from .market import MarketParams, MarketScenario
@@ -190,11 +189,9 @@ def _value(section: str, f, text: str):
             expected = "an integer" if convert is int else "a number"
             raise ParseError(f"[{section}] {f.name}: expected {expected}, got {token!r}") from None
     rules = f.metadata.get("rules", ())
-    checks = [map(math.isfinite, values)] if convert is float else []
-    for check in checks + [map(_TESTS[op], values, repeat(bound)) for op, bound in rules]:
-        fits = list(check)
-        if not all(fits):
-            value = values[fits.index(False)]
+    for value in values:
+        if (convert is float and not math.isfinite(value)) or not all(
+                _TESTS[op](value, bound) for op, bound in rules):
             need = ["finite"] if convert is float else []
             need += [f"{op} {bound}" for op, bound in rules]
             raise ParseError(f"[{section}] {f.name} must be {' and '.join(need)}, got {value!r}")

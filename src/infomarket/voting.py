@@ -14,7 +14,6 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -116,11 +115,12 @@ def droop_quota(valid_votes, seats: int) -> int:
 
     Raises:
         InvalidSeats: seats < 1.
+        ValueError: valid_votes is negative, nan or infinite.
     """
     if seats < 1:
         raise InvalidSeats(f"seats must be >= 1, got {seats}")
-    if valid_votes < 0:
-        raise ValueError(f"valid_votes must be >= 0, got {valid_votes}")
+    if not (valid_votes >= 0 and math.isfinite(valid_votes)):
+        raise ValueError(f"valid_votes must be finite and >= 0, got {valid_votes}")
     return math.floor(valid_votes / (seats + 1)) + 1
 
 
@@ -342,8 +342,7 @@ def meek_count(
     hopefuls = list(range(len(ids)))
     winners: list[int] = []
     keep = [1.0] * len(ids)
-    # A left fold, not sum(): from Python 3.12 sum() compensates float sums.
-    total_weight = reduce(operator.add, map(operator.attrgetter("weight"), ballots), 0)
+    total_weight = _fold(map(operator.attrgetter("weight"), ballots))
     rounds: list[CountRound] = []
 
     def distribute() -> tuple[list[float], float, float]:
@@ -430,17 +429,14 @@ def parse_ballots(lines: Iterable[str]) -> list[Ballot]:
         ParseError: a line does not match the format.
     """
     ballots = []
-    seen: dict[str, Ballot] = {}  # by raw line and by stripped line
+    seen: dict[str, Ballot] = {}  # by stripped, comment-free line
     for lineno, raw in enumerate(lines, start=1):
-        ballot = seen.get(raw)
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        ballot = seen.get(line)
         if ballot is None:
-            line = raw.partition("#")[0].strip()
-            if not line:
-                continue
-            ballot = seen.get(line)
-            if ballot is None:
-                ballot = seen[line] = _parse_line(line, lineno)
-            seen[raw] = ballot
+            ballot = seen[line] = _parse_line(line, lineno)
         ballots.append(ballot)
     return ballots
 

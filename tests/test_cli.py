@@ -74,6 +74,15 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: infomarket")
+    assert all(name in out for name in SUBCOMMANDS) and len(SUBCOMMANDS) == 8
+
+
 def test_missing_scenario_file_fails(tmp_path, capsys):
     assert run_cli("equilibrium", "--scenario", str(tmp_path / "nope.scn"),
                    "--out", str(tmp_path)) == 1

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,8 +96,8 @@ def test_gs_output_is_stable_on_random_profiles():
 
 
 def test_matches_name_keyed_deferred_acceptance_bit_for_bit():
-    # repr covers the pairs and the frozenset's iteration order, which a
-    # float sum over the pairs (total_payoff_value) depends on.
+    # repr covers the pairs and the frozenset's iteration order, which
+    # follows the hash seed and, among colliding slots, insertion order.
     rng = random.Random(4242)
     unequal = 0
     for trial in range(600):
@@ -200,6 +204,55 @@ def test_marginal_contribution_unknown_id():
     profile = balanced_profile([("p1", ["c1"])], [("c1", ["p1"])])
     with pytest.raises(UnknownId):
         marginal_contribution(profile, "ghost", pair_count)
+
+
+# A 40x40 profile valued by total_payoff_value. Prints the valuation of its
+# provider-proposing matching, a left fold of the same payoffs over the sorted
+# pairs, and one provider's marginal contribution.
+PAYOFF_SUM_SCRIPT = """
+import random
+from functools import reduce
+from operator import add
+from infomarket.market import NewsType
+from infomarket.matching import (
+    PreferenceProfile, gale_shapley, marginal_contribution, total_payoff_value)
+from infomarket.payoffs import (
+    ConsumerParams, CostSchedule, ProviderParams, consumer_payoff, provider_payoff)
+
+rng = random.Random(40)
+providers = [f"p{i}" for i in range(40)]
+consumers = [f"c{j}" for j in range(40)]
+profile = PreferenceProfile(
+    providers, consumers,
+    {p: tuple(rng.sample(consumers, 40)) for p in providers},
+    {c: tuple(rng.sample(providers, 40)) for c in consumers},
+)
+p_params = {p: ProviderParams(rng.uniform(0, 10), rng.uniform(0, 3)) for p in providers}
+c_params = {c: ConsumerParams(rng.uniform(0, 10), rng.uniform(0, 3)) for c in consumers}
+costs = CostSchedule(0.37, 1.91, 0.53, 0.29)
+value = total_payoff_value(p_params, c_params, costs, NewsType.FAKE)
+matching = gale_shapley(profile)
+payoffs = [x for p, c in matching.as_sorted_pairs()
+           for x in (provider_payoff(p_params[p], NewsType.FAKE, costs),
+                     consumer_payoff(c_params[c], NewsType.FAKE, costs))]
+print(repr(value(matching)), repr(reduce(add, payoffs, 0.0)),
+      repr(marginal_contribution(profile, "p0", value)))
+"""
+
+
+def test_total_payoff_value_is_the_same_under_every_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", PAYOFF_SUM_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed)),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in range(4)
+    }
+    assert len(outputs) == 1, outputs
+    valuation, fold, _ = outputs.pop().split()
+    assert valuation == fold
 
 
 def test_malformed_profiles_rejected():

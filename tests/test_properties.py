@@ -1,7 +1,12 @@
 """Property tests: scenario round trips, malformed input fails only cleanly,
-plurality and the exact health sweep match their oracles, and the game's two
-quota checks agree."""
+plurality and the exact health sweep match their oracles, the game's two
+quota checks agree, and a CLI run on an edited scenario either succeeds
+silently or ends with one error line."""
 
+import contextlib
+import io
+import re
+import shutil
 import string
 from fractions import Fraction
 
@@ -10,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infomarket.analysis import comparative_sweep, parse_spread_graph
+from infomarket.cli import SUBCOMMANDS, main
 from infomarket.errors import InfoMarketError, NoMarket
 from infomarket.game import (
     BUILTIN_STRATEGIES,
@@ -247,3 +253,57 @@ def test_rounds_to_quota_is_set_exactly_when_the_quota_is_reached(
     for player in (0, 1):
         reached = droop_acceptance_reached(state, player, audience, seats)
         assert (rounds_to_quota(state, player, audience, seats) is not None) == reached
+
+
+# Values for an edited scenario key: zeros, non-finite, huge, tiny, empty,
+# not a number, negative, and a few ordinary ones.
+EDIT_VALUES = ["0", "-0", "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320",
+               "", "x", "-1", "1", "0.5", "2", "1 2", "0 nan"]
+# rounds and horizon set the work of a run, so they stay small.
+SMALL_COUNTS = ["0", "-0", "-1", "1", "3", "", "x", "1e400", "nan"]
+
+
+# The sections each subcommand reads, by name prefix, so that most edits
+# reach the run rather than stopping the parse of a section it ignores.
+READS = {"equilibrium": ("market",), "match": ("matching",), "game": ("payoffs", "game"),
+         "vote-fptp": ("voting",), "vote-meek": ("voting",), "dynamics": ("dynamics",),
+         "sweep": ("market", "analysis"), "path": ("analysis",)}
+
+
+@pytest.fixture(scope="module")
+def newsroom_copy(scenario_dir, tmp_path_factory):
+    """A directory holding newsroom's ballot and graph files, and its
+    (section, row) pairs."""
+    root = tmp_path_factory.mktemp("newsroom")
+    for name in ("newsroom_ballots.txt", "newsroom_graph.txt"):
+        shutil.copy(scenario_dir / name, root / name)
+    section, rows = "", []
+    for row in (scenario_dir / "newsroom.scn").read_text().splitlines():
+        section = row.strip("[]") if row.startswith("[") else section
+        rows.append((section, row))
+    return root, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), st.sampled_from(SUBCOMMANDS))
+def test_cli_run_on_an_edited_scenario_succeeds_or_reports_one_error(
+    newsroom_copy, data, subcommand
+):
+    root, sectioned = newsroom_copy
+    rows = [row for _, row in sectioned]
+    keyed = [i for i, (section, row) in enumerate(sectioned)
+             if " = " in row and section.startswith(READS[subcommand])]
+    for i in data.draw(st.lists(st.sampled_from(keyed), min_size=1, max_size=3, unique=True)):
+        key = rows[i].split(" = ")[0]
+        values = SMALL_COUNTS if key in ("rounds", "horizon") else EDIT_VALUES
+        rows[i] = f"{key} = {data.draw(st.sampled_from(values))}"
+    path = root / "edited.scn"
+    path.write_text("\n".join(rows) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([subcommand, "--scenario", str(path), "--out", str(root / "out")])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert re.fullmatch(r"error \[[a-z]+\]: [^\n]+\n", err.getvalue()), err.getvalue()

@@ -92,8 +92,13 @@ class TestDroopQuota:
             droop_quota(100, 0)
 
     def test_negative_votes(self):
-        with pytest.raises(ValueError):
-            droop_quota(-5, 1)
+        with pytest.raises(ValueError, match=r"^valid_votes must be finite and >= 0, got -1$"):
+            droop_quota(-1, 1)
+
+    @pytest.mark.parametrize("votes", [float("nan"), float("inf")])
+    def test_non_finite_votes(self, votes):
+        with pytest.raises(ValueError, match=rf"^valid_votes must be finite and >= 0, got {votes}$"):
+            droop_quota(votes, 1)
 
 
 class TestMeek:
