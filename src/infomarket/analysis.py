@@ -11,7 +11,7 @@ node sequence.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -100,19 +100,37 @@ def state_at_reliability(scenario: MarketScenario, r: float) -> MarketState:
     return MarketState(fake=fake, true=true, reliability=r)
 
 
+def _quantity(params: MarketParams, intercept):
+    """``equilibrium_closed_form``'s quantity by its float operations; the int 0 if infeasible."""
+    a, c = params.supply_slope, params.demand_slope
+    return 0 if intercept <= 0 else a * (intercept / (a + c))
+
+
+def _health(scenario: MarketScenario, r):
+    """``market_health(state_at_reliability(scenario, r))`` without building its objects."""
+    q_fake = _quantity(scenario.fake, scenario.fake.demand_intercept * (1 - r))
+    q_true = _quantity(scenario.true, scenario.true.demand_intercept * r)
+    total = q_fake + q_true
+    if total == 0:
+        raise NoMarket("neither news type trades at equilibrium")
+    return q_true / total
+
+
 def comparative_sweep(
     base: MarketScenario,
     changed: MarketScenario,
     grid: Sequence[float],
 ) -> tuple[HealthCurve, HealthCurve]:
-    """Health across the reliability grid before and after a parameter change."""
+    """Health across the reliability grid before and after a parameter change, in closed form."""
     if not grid:
         raise ValueError("reliability grid must be nonempty")
     before = []
     after = []
     for r in grid:
-        before.append((r, market_health(state_at_reliability(base, r))))
-        after.append((r, market_health(state_at_reliability(changed, r))))
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"reliability must lie in [0, 1], got {r}")
+        before.append((r, _health(base, r)))
+        after.append((r, _health(changed, r)))
     return HealthCurve(points=tuple(before)), HealthCurve(points=tuple(after))
 
 
@@ -134,22 +152,30 @@ class SpreadGraph:
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]
+    # (names, number, adjacency) for min_cost_spread_path, built as the edges are checked
+    _index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
+        names = sorted(self.nodes)
+        number = {name: i for i, name in enumerate(names)}
+        if len(number) != len(names):
             raise ValueError("duplicate node ids")
+        # Edge order does not matter: distinct (cost, path) keys alone fix the pop order.
+        adjacency: list[list[tuple[int, float]]] = [[] for _ in names]
         for src, dst, cost in self.edges:
             if src == dst:
                 raise ValueError(f"self-loop on {src!r}")
-            if src not in known or dst not in known:
+            i, j = number.get(src), number.get(dst)
+            if i is None or j is None:
                 raise ValueError(f"edge ({src!r}, {dst!r}) uses undeclared nodes")
-            if not (cost >= 0 and math.isfinite(cost)):
+            if not 0 <= cost < math.inf:  # also false for nan
                 raise ValueError(
                     f"cost on edge ({src!r}, {dst!r}) must be finite and >= 0, got {cost}"
                 )
+            adjacency[i].append((j, cost))
+        object.__setattr__(self, "_index", (names, number, adjacency))
 
 
 def graph_from_edges(edges: Iterable[tuple[str, str, float]]) -> SpreadGraph:
@@ -163,10 +189,9 @@ def parse_spread_graph(lines: Iterable[str]) -> SpreadGraph:
     """Parse edge-list text: one ``from to cost`` triple per line, # comments."""
     edges = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"graph line {lineno}: expected 'from to cost'")
         try:
@@ -196,22 +221,17 @@ def min_cost_spread_path(
 
     Dijkstra's search over nonnegative costs; among equally cheap routes the
     lexicographically smallest node sequence wins. Keying the heap on
-    (cost, path) makes that tie-break fall out of the pop order. Nodes are
-    numbered in name order, so a path of numbers compares as its path of
-    names. An entry is pushed only if it beats the best one already pushed
-    for its node; the first pop per node is still the least (cost, path).
+    (cost, path) makes that tie-break fall out of the pop order. The graph
+    numbers its nodes in name order, so a path of numbers compares as its
+    path of names. An entry is pushed only if it beats the best one already
+    pushed for its node; the first pop per node is still the least (cost, path).
 
     Raises:
         Unreachable: no route exists.
     """
-    names = sorted(graph.nodes)
-    number = {name: i for i, name in enumerate(names)}
+    names, number, adjacency = graph._index
     if source not in number or target not in number:
         raise ValueError(f"source/target must be graph nodes, got {source!r}, {target!r}")
-    # Edge order does not matter: distinct (cost, path) keys alone fix the pop order.
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in names]
-    for src, dst, cost in graph.edges:
-        adjacency[number[src]].append((number[dst], cost))
     start, goal = number[source], number[target]
     entry = (0.0, (start,), start)
     best: list = [None] * len(names)  # node -> least entry pushed for it

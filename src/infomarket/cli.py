@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 
@@ -189,6 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A run needs no cyclic garbage freed; the caller's setting comes back in ``finally``.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         scenario = load_scenario(args.scenario)
         # Every float is written by format_number, which raises on inf/nan
@@ -212,6 +216,9 @@ def main(argv=None) -> int:
         print("error [input]: a result is too large to compute: an input value is out of range",
               file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 0
 
 

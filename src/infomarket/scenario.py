@@ -30,11 +30,9 @@ import math
 import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from importlib import import_module
 
 from .errors import MalformedProfile, ParseError
-from .market import MarketParams, MarketScenario
-from .matching import PreferenceProfile
-from .payoffs import HarmPayoffParams
 
 
 def format_number(x) -> str:
@@ -95,17 +93,23 @@ class AnalysisSection:
     graph: str | None = _file(None)
     source: str | None = None
     target: str | None = None
-    changed_fake: MarketParams | None = None
-    changed_true: MarketParams | None = None
+    changed_fake: "MarketParams | None" = None
+    changed_true: "MarketParams | None" = None
+
+    def __post_init__(self):
+        for a, b in zip(self.reliability_grid, self.reliability_grid[1:]):
+            if b <= a:
+                raise ValueError(
+                    f"reliability_grid must be strictly increasing, got {b!r} after {a!r}")
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     seed: int = _rule(">=", 0, default=0)
-    market: MarketScenario | None = None
-    payoffs: HarmPayoffParams | None = None
-    matching: PreferenceProfile | None = None
+    market: "MarketScenario | None" = None
+    payoffs: "HarmPayoffParams | None" = None
+    matching: "PreferenceProfile | None" = None
     game: GameSection | None = None
     voting: VotingSection | None = None
     dynamics: DynamicsSection | None = None
@@ -127,7 +131,8 @@ _SECTIONS = (
 
 # Field type -> (token parser, whether the value is a space-separated list).
 # Fields of any other type, such as a nested section, are not keys. Section
-# modules keep class annotations (no ``from __future__ import annotations``).
+# modules keep class annotations (no ``from __future__ import annotations``);
+# nested sections' types here are strings, so their modules load with the section.
 _KINDS = {
     float: (float, False),
     int: (int, False),
@@ -214,7 +219,8 @@ def _section(cls, section: str, data: dict, **extra):
         raise ParseError(f"[{section}] {exc}") from None
 
 
-def _matching_section(data: dict) -> PreferenceProfile:
+def _matching_section(data: dict) -> "PreferenceProfile":
+    from .matching import PreferenceProfile
     missing = [k for k in ("providers", "consumers") if k not in data]
     if missing:
         raise ParseError(f"[matching] missing keys: {missing}")
@@ -252,23 +258,27 @@ def parse_scenario(text: str) -> Scenario:
     if not sections:
         raise ParseError("scenario has no sections; at least one is required")
 
-    def part(cls, name):
-        return _section(cls, name, sections[name]) if name in sections else None
+    def part(cls, name, module=None):
+        """The section's object or None; a cls named in module is imported only if needed."""
+        if name not in sections:
+            return None
+        cls = getattr(import_module(f".{module}", __package__), cls) if module else cls
+        return _section(cls, name, sections[name])
 
-    fake, true = part(MarketParams, "market.fake"), part(MarketParams, "market.true")
+    fake, true = (part("MarketParams", f"market.{side}", "market") for side in ("fake", "true"))
     if (fake is None) != (true is None):
         raise ParseError("sections [market.fake] and [market.true] come as a pair")
     analysis = None
     if any(name.startswith("analysis") for name in sections):
         analysis = _section(
             AnalysisSection, "analysis", sections.get("analysis", {}),
-            changed_fake=part(MarketParams, "analysis.changed.market.fake"),
-            changed_true=part(MarketParams, "analysis.changed.market.true"),
+            changed_fake=part("MarketParams", "analysis.changed.market.fake", "market"),
+            changed_true=part("MarketParams", "analysis.changed.market.true", "market"),
         )
     return _section(
         Scenario, "preamble", preamble,
-        market=None if fake is None else MarketScenario(fake, true),
-        payoffs=part(HarmPayoffParams, "payoffs"),
+        market=fake and import_module(".market", __package__).MarketScenario(fake, true),
+        payoffs=part("HarmPayoffParams", "payoffs", "payoffs"),
         matching=_matching_section(sections["matching"]) if "matching" in sections else None,
         game=part(GameSection, "game"),
         voting=part(VotingSection, "voting"),
@@ -308,7 +318,7 @@ def _key_lines(section) -> list[str]:
     return [f"{k} = {_render(v)}" for k, v in values if v is not None and v != ()]
 
 
-def _matching_lines(m: PreferenceProfile) -> list[str]:
+def _matching_lines(m: "PreferenceProfile") -> list[str]:
     lines = [f"providers = {' '.join(m.providers)}", f"consumers = {' '.join(m.consumers)}"]
     lines += [f"rank.{p} = {' > '.join(m.provider_prefs[p])}" for p in m.providers]
     lines += [f"rank.{c} = {' > '.join(m.consumer_prefs[c])}" for c in m.consumers]

@@ -11,6 +11,7 @@ non-exhausted weight as the count progresses.
 
 import math
 import operator
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -141,10 +142,11 @@ def _gather(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
 class _PlainZero(float):
     """0.0 as a float subclass. From Python 3.12 ``sum()`` compensates a float
     sum, but only on its fast path, taken when the start is an exact float;
-    from this start it adds with plain ``+``, in order."""
+    from this start it adds with plain ``+``, in order. Before 3.12 the fast
+    path adds plain doubles in order, so there 0.0 itself is the start."""
 
 
-_PLAIN_ZERO = _PlainZero()
+_PLAIN_ZERO = _PlainZero() if sys.version_info >= (3, 12) else 0.0
 
 
 def _fold(xs: Iterable[float]) -> float:
@@ -180,7 +182,7 @@ class _PathTally:
     Each total is a left fold with plain ``+`` in ballot order over the
     ballots that reach the candidate (the ones left out would add only
     ``+0.0``), so the bits are those of walking every ballot in turn.
-    ``sum()`` is not used because from Python 3.12 it compensates float sums.
+    ``_fold`` sums from ``_PLAIN_ZERO``, so no Python version compensates it.
     """
 
     def __init__(self, ballots: Sequence[Ballot], ids: Sequence[str]):

@@ -9,8 +9,10 @@ name-keyed deferred acceptance and route search are the kernels as they were
 before agents and nodes became list positions, and the history-scanning game
 is the iterated game whose rules read both whole histories every round; each
 is kept so a kernel rewritten for speed can be held to the same results bit
-for bit. The diminishing utility is a running fold over the harmonic terms,
-and the health sweep solves each market in closed form.
+for bit. The diminishing utility is a running fold over the harmonic terms.
+One health sweep solves each market in closed form, exactly; the other
+builds each point's markets and state, as the float sweep did before it
+went to closed form.
 """
 
 import heapq
@@ -26,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from infomarket.analysis import HealthCurve, market_health, state_at_reliability
 from infomarket.errors import NoMarket, NonConvergence, Unreachable
 from infomarket.game import AcceptanceRule, GameState
 from infomarket.market import NewsType as Action
@@ -644,3 +647,14 @@ def health_sweep_closed_form(scenario, grid):
         q_fake, q_true = quantity(scenario.fake, b_fake), quantity(scenario.true, b_true)
         points.append((r, q_true / (q_fake + q_true)))
     return tuple(points)
+
+
+def comparative_sweep_by_state(base, changed, grid):
+    """Reference for the float ``analysis.comparative_sweep``: the sweep as it
+    was before it went to closed form, building each point's markets,
+    equilibria and state and scoring them with ``market_health``."""
+    before, after = [], []
+    for r in grid:
+        before.append((r, market_health(state_at_reliability(base, r))))
+        after.append((r, market_health(state_at_reliability(changed, r))))
+    return HealthCurve(points=tuple(before)), HealthCurve(points=tuple(after))

@@ -192,6 +192,7 @@ class TestSpreadPath:
                         edges.append((u, v, rng.choice(costs)))
                         odds /= 3
             graph = SpreadGraph(nodes=tuple(nodes), edges=tuple(edges))
+            assert graph.nodes == tuple(nodes)  # declared order is kept, not sorted
             source, target = rng.choice(nodes), rng.choice(nodes)
             got = search(min_cost_spread_path, graph, source, target)
             assert got == search(min_cost_spread_path_by_name, graph, source, target)
@@ -211,6 +212,31 @@ class TestSpreadPath:
                 SpreadGraph(nodes=("A", "B"), edges=(("A", "B", cost),))
         with pytest.raises(ValueError):
             SpreadGraph(nodes=("A",), edges=(("A", "B", 1.0),))
+
+    @pytest.mark.parametrize("nodes, edges, message", [
+        (("A", "B", "A"), (("B", "B", 1.0),), "duplicate node ids"),
+        (("B", "A"), (("A", "B", 1.0), ("B", "B", -1.0), ("A", "Z", 1.0)),
+         "self-loop on 'B'"),
+        (("B", "A"), (("A", "B", 1.0), ("Z", "A", -1.0), ("A", "A", 1.0)),
+         "edge ('Z', 'A') uses undeclared nodes"),
+        (("B", "A"), (("B", "A", float("nan")), ("A", "A", 1.0), ("A", "Z", 1.0)),
+         "cost on edge ('B', 'A') must be finite and >= 0, got nan"),
+        (("A", "B"), (("A", "B", 0.0), ("B", "A", -0.5), ("B", "A", float("inf"))),
+         "cost on edge ('B', 'A') must be finite and >= 0, got -0.5"),
+    ], ids=["duplicate-node", "self-loop", "undeclared-node", "nan-cost", "negative-cost"])
+    def test_graph_error_names_the_first_bad_edge(self, nodes, edges, message):
+        with pytest.raises(ValueError) as exc:
+            SpreadGraph(nodes=nodes, edges=edges)
+        assert str(exc.value) == message
+
+    def test_numbering_is_not_part_of_the_value(self):
+        edges = (("b", "a", 1.0), ("a", "c", 2.0))
+        g = SpreadGraph(nodes=("c", "b", "a"), edges=edges)
+        assert g.nodes == ("c", "b", "a") and g.edges == edges
+        assert repr(g) == f"SpreadGraph(nodes=('c', 'b', 'a'), edges={edges!r})"
+        twin = SpreadGraph(nodes=("c", "b", "a"), edges=edges)
+        assert g == twin and hash(g) == hash(twin)
+        assert g != SpreadGraph(nodes=("a", "b", "c"), edges=edges)
 
     def test_parse_graph(self):
         g = parse_spread_graph(["# comment", "a b 1.5", "", "b c 2"])

@@ -1,3 +1,4 @@
+import gc
 import os
 import shutil
 import subprocess
@@ -317,6 +318,36 @@ def test_empty_scenario_value_rejected(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0.5 0.2", "0.5 0.5"])
+def test_out_of_order_grid_is_named_before_a_point_with_no_market(
+    grid, scenario_dir, tmp_path, capsys
+):
+    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1",
+                           f"reliability_grid = {grid}")
+    # Both intercepts at -1: neither side trades at any reliability.
+    text = path.read_text().replace("demand_intercept = 10", "demand_intercept = -1", 1)
+    path.write_text(text.replace("demand_intercept = 8", "demand_intercept = -1"))
+    first, second = grid.split()
+    for subcommand in ("sweep", "equilibrium"):
+        assert run_cli(subcommand, "--scenario", str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == ("error [scenario]: [analysis] reliability_grid must be "
+                                           f"strictly increasing, got {second} after {first}\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("scenario, code", [("newsroom.scn", 0), ("missing.scn", 1)],
+                         ids=["success", "error"])
+def test_main_restores_the_callers_gc_setting(enabled, scenario, code, scenario_dir, tmp_path):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        argv = ["path", "--scenario", str(scenario_dir / scenario), "--out", str(tmp_path)]
+        assert run_cli(*argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_cli_import_does_not_load_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -325,6 +356,23 @@ def test_cli_import_does_not_load_numpy():
          "import infomarket.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, check=True, timeout=60,
     )
+
+
+def test_cli_import_and_a_voting_run_load_no_market_modules(tmp_path):
+    # scenario imports market, matching and payoffs only for the sections that need them.
+    (tmp_path / "b.txt").write_text("1 : A > B\n2 : B\n")
+    (tmp_path / "v.scn").write_text("name = v\n[voting]\nballots = b.txt\nseats = 1\n")
+    argv = ["vote-fptp", "--scenario", str(tmp_path / "v.scn"), "--out", str(tmp_path)]
+    code = ("import sys; from infomarket import cli; imported = ' '.join(sys.modules); "
+            f"assert cli.main({argv!r}) == 0; print(imported, '|', ' '.join(sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    on_import, after_run = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split("|")
+    unused = {f"infomarket.{name}" for name in ("market", "matching", "payoffs")}
+    assert not set(on_import.split()) & unused
+    assert not set(after_run.split()) & unused
 
 
 # Subsystems each subcommand's run must not import.

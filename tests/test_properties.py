@@ -1,7 +1,7 @@
 """Property tests: scenario round trips, malformed input fails only cleanly,
-plurality and the exact health sweep match their oracles, the game's two
-quota checks agree, and a CLI run on an edited scenario either succeeds
-silently or ends with one error line."""
+plurality and the exact and float health sweeps match their oracles, the
+game's two quota checks agree, and a CLI run on an edited scenario either
+succeeds silently or ends with one error line."""
 
 import contextlib
 import io
@@ -39,7 +39,7 @@ from infomarket.scenario import (
     serialize_scenario,
 )
 from infomarket.voting import Ballot, first_preference_totals, fptp_winner, parse_ballots
-from oracles import health_sweep_closed_form, plurality_recount
+from oracles import comparative_sweep_by_state, health_sweep_closed_form, plurality_recount
 
 # Numbers go through format_number, so each one survives its own rendering.
 numbers = st.floats(-1e6, 1e6).map(lambda x: float(format_number(x)))
@@ -99,7 +99,7 @@ scenarios = st.builds(
     )),
     analysis=optional(st.builds(
         AnalysisSection,
-        reliability_grid=st.lists(fractions, max_size=5).map(tuple),
+        reliability_grid=st.lists(fractions, max_size=5, unique=True).map(sorted).map(tuple),
         graph=optional(ids),
         source=optional(ids),
         target=optional(ids),
@@ -234,6 +234,37 @@ def test_exact_health_sweep_matches_the_closed_form(base, changed, grid):
     curves = comparative_sweep(base, changed, grid)
     assert [curve.points for curve in curves] == expected
     assert all(type(h) is Fraction for curve in curves for _, h in curve.points)
+
+
+# Intercepts at or below 0 make a side infeasible at every r, and r = 0 or 1
+# zeroes one side's intercept, so points where one side or neither side
+# trades come up often. A grid value outside [0, 1] must be refused at its
+# own point, and an out-of-order grid after its last point.
+float_markets = st.builds(
+    MarketParams, st.floats(1e-3, 1e3),
+    st.floats(1, 100) | st.floats(1, 100) | st.sampled_from([0.0, -0.0, -1.0, 1e-300]),
+    st.floats(1e-3, 1e3),
+)
+float_pairs = st.builds(MarketScenario, float_markets, float_markets)
+reliabilities = st.floats(0, 1) | st.sampled_from([0.0, -0.0, 1.0])
+float_grids = st.lists(reliabilities, min_size=1, max_size=6).map(sorted) | st.lists(
+    reliabilities | st.sampled_from([-0.25, 1.5]), min_size=1, max_size=6)
+
+
+def sweep_outcome(sweep, base, changed, grid):
+    try:
+        return repr([curve.points for curve in sweep(base, changed, grid)])
+    except (NoMarket, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(float_pairs, float_pairs, float_grids)
+def test_float_health_sweep_matches_the_solved_markets_bit_for_bit(base, changed, grid):
+    # Equal on every prefix of the grid, so an error comes from the same point.
+    for n in range(1, len(grid) + 1):
+        assert (sweep_outcome(comparative_sweep, base, changed, grid[:n])
+                == sweep_outcome(comparative_sweep_by_state, base, changed, grid[:n]))
 
 
 builtin_strategies = st.sampled_from(sorted(BUILTIN_STRATEGIES)).map(strategy_by_name)

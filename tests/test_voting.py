@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+from meek_hashes import PINNED, seed0_count_hashes
 from oracles import (
     distribute_per_ballot,
     meek_count_exact,
@@ -511,6 +512,11 @@ class TestMeekAtBenchmarkSharing:
         # whose keep factor left 1) and an exclusion.
         assert any(result.keep_factors[w] < 1.0 for w in result.winners)
         assert any(e.kind is EventKind.EXCLUDED for r in result.rounds for e in r.events)
+
+    def test_benchmark_seed0_counts_keep_their_bits(self):
+        # The fold's start value differs across Python versions; the counts
+        # must not. tests/meek_hashes.py checks the same pins without pytest.
+        assert seed0_count_hashes() == PINNED
 
 
 def falling_keep_factors(rng, n, steps):
