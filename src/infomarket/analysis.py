@@ -11,9 +11,9 @@ node sequence.
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import (
     InfeasibleEquilibrium,
     NoMarket,
@@ -24,7 +24,7 @@ from .errors import (
 from .market import Equilibrium, MarketParams, MarketScenario, equilibrium_closed_form
 
 
-@dataclass(frozen=True)
+@record
 class MarketState:
     """Solved (or infeasible) equilibria for both news types at one reliability."""
 
@@ -37,7 +37,7 @@ class MarketState:
             raise ValueError(f"reliability must lie in [0, 1], got {self.reliability}")
 
 
-@dataclass(frozen=True)
+@record
 class HealthCurve:
     """Health score sampled over strictly increasing reliability levels."""
 
@@ -146,14 +146,12 @@ def reliability_marginal_contribution(curve: HealthCurve) -> list[tuple[float, f
     return [(pts[i + 1][0], pts[i + 1][1] - pts[i][1]) for i in range(len(pts) - 1)]
 
 
-@dataclass(frozen=True)
+@record
 class SpreadGraph:
     """Directed channel network with finite, nonnegative traversal costs."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]
-    # (names, number, adjacency) for min_cost_spread_path, built as the edges are checked
-    _index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -175,6 +173,8 @@ class SpreadGraph:
                     f"cost on edge ({src!r}, {dst!r}) must be finite and >= 0, got {cost}"
                 )
             adjacency[i].append((j, cost))
+        # (names, number, adjacency) for min_cost_spread_path; an attribute, not a
+        # field, so repr, == and hash leave it out
         object.__setattr__(self, "_index", (names, number, adjacency))
 
 

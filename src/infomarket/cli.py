@@ -19,6 +19,7 @@ import csv
 import gc
 import os
 import sys
+from math import isfinite
 
 from .errors import InfoMarketError, ParseError
 from .scenario import Scenario, format_number, load_scenario, resolve_path
@@ -195,9 +196,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         scenario = load_scenario(args.scenario)
-        # Every float is written by format_number, which raises on inf/nan
-        # before --out exists; csv writes str and int as text and None as "".
-        rows = [[format_number(v) if isinstance(v, float) else v for v in row]
+        # Floats are written as format_number writes them; it sees only inf/nan and
+        # raises before --out exists. csv writes str and int as text and None as "".
+        rows = [[(f"{v:.12g}" if isfinite(v) else format_number(v))
+                 if isinstance(v, float) else v for v in row]
                 for row in _RUNNERS[args.subcommand](scenario, args.scenario)]
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, f"{scenario.name}_{args.subcommand}.csv")

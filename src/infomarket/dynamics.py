@@ -8,12 +8,13 @@ arithmetic is plain Python so exact number types pass through untouched.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+from ._record import record
 
-@dataclass(frozen=True)
+
+@record
 class RetentionParams:
     """Initial retention fraction and per-time-unit decay rate."""
 
@@ -39,7 +40,7 @@ class CurveFamily(Enum):
     COMPOUNDING = "compounding"  # growing increments
 
 
-@dataclass(frozen=True)
+@record
 class UtilityCurve:
     """Utility of holding k information pieces, evaluated at integer k.
 
@@ -98,7 +99,7 @@ def info_marginal_contribution(curve: UtilityCurve, k: int):
     return utility(curve, k + 1) - utility(curve, k)
 
 
-@dataclass(frozen=True)
+@record
 class IncrementVerdict:
     passed: bool
     violation_at: int | None = None

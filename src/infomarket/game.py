@@ -9,10 +9,10 @@ Stage games can be scanned exhaustively for pure equilibria.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
+from ._record import record
 from .errors import EmptyInput
 from .market import NewsType
 from .payoffs import HarmPayoffParams, harm_payoff
@@ -26,7 +26,7 @@ HARM_PER_ANY_FAKE = "any"
 StrategyRule = Callable[[Sequence[Action], Sequence[Action], int], Action]
 
 
-@dataclass(frozen=True)
+@record
 class Strategy:
     """Named decision rule: (own history, opponent history, round index) -> Action.
 
@@ -83,7 +83,7 @@ def strategy_by_name(name: str) -> Strategy:
         raise ValueError(f"unknown strategy {name!r} (available: {known})") from None
 
 
-@dataclass(frozen=True)
+@record
 class AcceptanceRule:
     """Audience acceptance gained per round by action.
 
@@ -102,7 +102,7 @@ class AcceptanceRule:
         return self.fake_gain if action is Action.FAKE else self.true_gain
 
 
-@dataclass(frozen=True)
+@record
 class GameState:
     """Outcome of an iterated match.
 
@@ -198,7 +198,7 @@ def rounds_to_quota(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class StageGame:
     """One-shot 2x2 game; payoffs[(row_action, col_action)] = (row, col)."""
 
@@ -241,7 +241,7 @@ def nash_equilibria(stage: StageGame) -> list[tuple[Action, Action]]:
     return equilibria
 
 
-@dataclass(frozen=True)
+@record
 class MaxCompensationResult:
     provider: str
     tied: bool
@@ -262,7 +262,7 @@ def max_compensation(
     return MaxCompensationResult(provider=leaders[0], tied=len(leaders) > 1)
 
 
-@dataclass(frozen=True)
+@record
 class TournamentRow:
     strategy_a: str
     strategy_b: str

@@ -8,10 +8,10 @@ clearing point attracts or repels out-of-equilibrium prices.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+from ._record import record
 from .errors import InfeasibleEquilibrium, NonMonotone, NoRoot
 
 BISECTION_MAX_ITER = 200
@@ -26,7 +26,7 @@ class NewsType(Enum):
     TRUE = "true"
 
 
-@dataclass(frozen=True)
+@record
 class MarketParams:
     """Linear market coefficients.
 
@@ -57,7 +57,7 @@ class MarketParams:
         return self.demand_intercept - self.demand_slope * price
 
 
-@dataclass(frozen=True)
+@record
 class MarketScenario:
     """Linear market coefficients for both news types."""
 
@@ -65,7 +65,7 @@ class MarketScenario:
     true: MarketParams
 
 
-@dataclass(frozen=True)
+@record
 class Equilibrium:
     """A cleared market: ``supply(price) == demand(price) == quantity``."""
 
@@ -83,7 +83,7 @@ class Stability(Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
+@record
 class StabilityReport:
     """Cobweb classification plus the visited price trace."""
 

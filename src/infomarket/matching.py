@@ -7,10 +7,10 @@ markets.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
+from ._record import record
 from .errors import MalformedProfile, UnknownId
 from .market import NewsType
 from .payoffs import (
@@ -25,7 +25,7 @@ PROVIDERS = "providers"
 CONSUMERS = "consumers"
 
 
-@dataclass(frozen=True)
+@record
 class PreferenceProfile:
     """Strict, complete rankings of each side over the other.
 
@@ -97,11 +97,11 @@ def _check_rankings(prefs, own_ids, other_ids, side):
             )
 
 
-@dataclass(frozen=True)
+@record
 class Matching:
     """One-to-one assignment stored as (provider, consumer) pairs."""
 
-    pairs: frozenset = field(default_factory=frozenset)
+    pairs: frozenset = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset(self.pairs))
@@ -115,7 +115,7 @@ class SegmentLabel(Enum):
     LUXURY = "luxury"
 
 
-@dataclass(frozen=True)
+@record
 class StabilityCheck:
     stable: bool
     blocking_pairs: tuple[tuple[str, str], ...]

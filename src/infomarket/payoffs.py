@@ -7,13 +7,12 @@ payoff stays flat, so the two cross at a computable harm level. All functions
 use plain arithmetic and accept exact number types (e.g. Fraction) unchanged.
 """
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import NoCrossover
 from .market import NewsType
 
 
-@dataclass(frozen=True)
+@record
 class ProviderParams:
     """Provider payoff coefficients: payoff = base - cost_sensitivity * cost."""
 
@@ -25,7 +24,7 @@ class ProviderParams:
             raise ValueError("cost_sensitivity must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class ConsumerParams:
     """Consumer payoff coefficients: payoff = base - disadvantage_sensitivity * disadvantage."""
 
@@ -37,7 +36,7 @@ class ConsumerParams:
             raise ValueError("disadvantage_sensitivity must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class CostSchedule:
     """Per-news-type provision costs and consumer disadvantages."""
 
@@ -58,7 +57,7 @@ class CostSchedule:
         return self.fake_disadvantage if kind is NewsType.FAKE else self.true_disadvantage
 
 
-@dataclass(frozen=True)
+@record
 class HarmPayoffParams:
     """Repeated-game payoff knobs.
 

@@ -18,7 +18,7 @@ Format::
     ...
 
 Sections are optional but at least one must be present. Each section's
-dataclass declares its keys: the field names are the allowed keys, the field
+record declares its keys: the field names are the allowed keys, the field
 types pick the parser, the field defaults fill absent keys, and the field
 metadata holds the range rules. Unknown sections and unknown keys are
 rejected outright so typos fail loudly, every number must be finite, and a
@@ -29,9 +29,9 @@ digits, and parse(serialize(s)) == s.
 import math
 import operator
 import os
-from dataclasses import MISSING, dataclass, field, fields
 from importlib import import_module
 
+from ._record import MISSING, field, fields, record
 from .errors import MalformedProfile, ParseError
 
 
@@ -59,7 +59,7 @@ def _file(default=MISSING):
     return field(default=default, metadata={"file": True})
 
 
-@dataclass(frozen=True)
+@record
 class GameSection:
     strategies: tuple[str, ...]
     rounds: int = _rule(">=", 1, default=10)
@@ -70,14 +70,14 @@ class GameSection:
     fake_acceptance: float = _rule(">=", 0, default=3.0)
 
 
-@dataclass(frozen=True)
+@record
 class VotingSection:
     ballots: str = _file()
     seats: int = _rule(">=", 1)
     tolerance: float = _rule(">=", 0, default=1e-9)
 
 
-@dataclass(frozen=True)
+@record
 class DynamicsSection:
     initial_retention: float = _rule(">=", 0, "<=", 1, default=1.0)
     decay_grid: tuple[float, ...] = _rule(">=", 0, default=(0.1, 0.3, 0.5, 1.0))
@@ -87,7 +87,7 @@ class DynamicsSection:
     horizon: int = _rule(">=", 1, default=20)
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisSection:
     reliability_grid: tuple[float, ...] = _rule(">=", 0, "<=", 1, default=())
     graph: str | None = _file(None)
@@ -103,7 +103,7 @@ class AnalysisSection:
                     f"reliability_grid must be strictly increasing, got {b!r} after {a!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     name: str
     seed: int = _rule(">=", 0, default=0)

@@ -13,11 +13,11 @@ import math
 import operator
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import record
 from .errors import (
     EmptyInput,
     InvalidSeats,
@@ -30,7 +30,7 @@ DEFAULT_TOLERANCE = 1e-9
 KEEP_ITERATION_CAP = 1000
 
 
-@dataclass(frozen=True)
+@record
 class Ballot:
     """A weighted ranking over candidates. Partial rankings are allowed."""
 
@@ -50,14 +50,14 @@ class EventKind(Enum):
     EXCLUDED = "excluded"
 
 
-@dataclass(frozen=True)
+@record
 class CountEvent:
     kind: EventKind
     candidate: str
     tied: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class CountRound:
     """End-of-stage snapshot: totals, quota, exhausted weight, and what happened."""
 
@@ -68,7 +68,7 @@ class CountRound:
     keep_factors: dict[str, float]
 
 
-@dataclass(frozen=True)
+@record
 class ElectionResult:
     winners: tuple[str, ...]
     rounds: tuple[CountRound, ...]
@@ -79,7 +79,7 @@ class ElectionResult:
         return any(e.tied for r in self.rounds for e in r.events)
 
 
-@dataclass(frozen=True)
+@record
 class FptpResult:
     winner: str | int
     tied: bool

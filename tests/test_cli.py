@@ -394,7 +394,21 @@ def test_run_loads_only_its_subcommands_modules(subcommand, scenario_dir, tmp_pa
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split())
     unused = {f"infomarket.{name}" for name in NOT_IMPORTED_BY.get(subcommand, ())}
-    assert not loaded & (unused | {"logging", "numpy"})
+    assert not loaded & (unused | {"logging", "numpy", "dataclasses", "inspect"})
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = sorted(f"infomarket.{p.stem}" for p in (src / "infomarket").glob("*.py")
+                     if p.stem != "__init__")
+    code = (f"import sys, infomarket; [__import__(m) for m in {modules!r}]; "
+            "print(' '.join(sys.modules))")
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split())
+    assert set(modules) <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 PACKAGE_NAMES = set("""

@@ -1,0 +1,128 @@
+"""``infomarket._record`` against its oracle, the stdlib ``dataclasses``.
+
+Twin classes, one ``@dataclass(frozen=True)`` and one ``@record``, declare the
+same fields (a required one, a class-attribute default and a ``field``
+default) and the same normalising ``__post_init__``; every behaviour the
+package relies on must agree between them.
+"""
+
+import dataclasses
+import math
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from infomarket import _record
+
+# dataclasses on 3.13.0 alone compared fields one by one, so a nan field was
+# unequal even to the same nan object there. Every other version compares the
+# field tuples, which match on identity first, and so does record.
+FIELDWISE_EQ = sys.version_info[:3] == (3, 13, 0)
+
+
+def make_twin(decorate, field):
+    class Twin:
+        a: object
+        b: object = 1.5
+        c: object = field(default=None)
+
+        def __post_init__(self):
+            if isinstance(self.c, list):
+                object.__setattr__(self, "c", tuple(self.c))
+
+    return decorate(Twin)
+
+
+Oracle = make_twin(dataclasses.dataclass(frozen=True), dataclasses.field)
+OracleOther = make_twin(dataclasses.dataclass(frozen=True), dataclasses.field)
+Record = make_twin(_record.record, _record.field)
+RecordOther = make_twin(_record.record, _record.field)
+
+scalars = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.fractions(max_denominator=50),
+    st.none(),
+)
+values = st.one_of(scalars, st.tuples(scalars, scalars))
+arg_tuples = st.tuples(values, values, st.one_of(values, st.lists(scalars, max_size=3)))
+calls = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: arg_tuples.map(lambda args: args[:n]))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle's failure is a result to match
+        return type(exc)
+
+
+def build(cls, args, by_name):
+    return cls(**dict(zip("abc", args))) if by_name else cls(*args)
+
+
+@given(calls, calls, st.booleans(), st.booleans(), st.data())
+def test_record_matches_dataclass(args, other, by_name, other_by_name, data):
+    other = data.draw(st.sampled_from([args, other]))
+    r1, r2 = build(Record, args, by_name), build(Record, other, other_by_name)
+    d1, d2 = build(Oracle, args, by_name), build(Oracle, other, other_by_name)
+    assert repr(r1) == repr(d1) and repr(r2) == repr(d2)
+    assert (r1.a, r1.b, r1.c) == (d1.a, d1.b, d1.c)
+    if not FIELDWISE_EQ:
+        assert (r1 == r2) == (d1 == d2)
+        assert (r1 != r2) == (d1 != d2)
+    assert (r1 == r2) == ((r1.a, r1.b, r1.c) == (r2.a, r2.b, r2.c))
+    assert outcome(hash, r1) == outcome(hash, d1)
+    assert (r1 == build(Record, args, not by_name)) == (d1 == build(Oracle, args, not by_name))
+    assert repr(build(Record, args, not by_name)) == repr(r1)
+    assert r1 != RecordOther(*args) and not r1 == RecordOther(*args)
+    assert d1 != OracleOther(*args) and not d1 == OracleOther(*args)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),
+    ((), {"b": 1}),
+    ((1, 2, 3, 4), {}),
+    ((1,), {"d": 2}),
+    ((1,), {"a": 2}),
+    ((1, 2), {"b": 3}),
+])
+def test_bad_arguments_raise_type_error_in_both(args, kwargs):
+    with pytest.raises(TypeError):
+        Oracle(*args, **kwargs)
+    with pytest.raises(TypeError):
+        Record(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["a", "c", "z"])
+def test_assignment_and_deletion_raise_attribute_error_in_both(name):
+    for instance in (Oracle(Fraction(1, 3)), Record(Fraction(1, 3))):
+        with pytest.raises(AttributeError):
+            setattr(instance, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(instance, name)
+    with pytest.raises(_record.FrozenInstanceError):
+        setattr(Record(1), name, 0)
+
+
+def declared(fields, missing):
+    """(name, type, default) per field, with None for "no default"."""
+    return [(f.name, f.type, None if f.default is missing else f.default) for f in fields]
+
+
+def test_fields_defaults_and_match_args_agree():
+    assert Record.__match_args__ == Oracle.__match_args__ == ("a", "b", "c")
+    assert (declared(_record.fields(Record), _record.MISSING)
+            == declared(dataclasses.fields(Oracle), dataclasses.MISSING)
+            == [("a", object, None), ("b", object, 1.5), ("c", object, None)])
+    assert _record.fields(Record(1)) == _record.fields(Record)
+    assert _record.fields(Record)[0].default is _record.MISSING
+    assert (Record.b, Record.c) == (Oracle.b, Oracle.c) == (1.5, None)
+    assert not hasattr(Record, "a") and not hasattr(Oracle, "a")
+    match Record(1, 2):
+        case Record(a, b, c):
+            assert (a, b, c) == (1, 2, None)
