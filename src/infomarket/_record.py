@@ -1,11 +1,16 @@
-"""Frozen value records: what ``@dataclass(frozen=True)`` gave this package.
+"""Frozen value records: what ``@dataclass(frozen=True)`` gave this package, plus range rules.
 
-Fields are the class's own annotations, in order, with a class attribute or
-``field(default=...)`` as a default. The methods are closures over the field
-names, not generated source, so a run imports neither ``dataclasses`` nor ``inspect``.
+Fields are the class's own annotations, in order, with a class attribute,
+``field(default=...)`` or ``rule(..., default=...)`` as a default. A ``rule``
+field is checked as the record is built, in field order and before
+``__post_init__``: its value, or each item of a tuple or list, must pass each
+``value <op> bound`` (and be finite if annotated ``float`` or ``tuple[float, ...]``),
+else ``ValueError("<field> must be [finite and ]<op> <bound>..., got <value!r>")``.
+Methods are closures, not generated source: a run imports no ``dataclasses`` or ``inspect``.
 """
 
-from operator import attrgetter
+from math import isfinite
+from operator import attrgetter, ge, gt, le
 
 MISSING = object()  # the default of a field that has none
 
@@ -24,6 +29,14 @@ class Field:
 
 field = Field
 
+_TESTS = {">=": ge, ">": gt, "<=": le, "in": lambda value, options: value in options}
+_FINITE = (float, tuple[float, ...])  # field types whose values must be finite
+
+
+def rule(*rules, default=MISSING):
+    """A field whose value must pass each ``value <op> bound`` (rules alternate op, bound)."""
+    return Field(default, {"rules": tuple(zip(rules[::2], rules[1::2]))})
+
 
 def fields(record_or_instance) -> tuple:
     """The fields of a record class or instance, in declaration order."""
@@ -34,10 +47,37 @@ def _frozen(self, name, value=None):
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
+def _checker(f):
+    """A closure that checks f's rules on a built record, or None if f declares none."""
+    if "rules" not in f.metadata:
+        return None
+    get, rules, finite = attrgetter(f.name), f.metadata["rules"], f.type in _FINITE
+    need = " and ".join(["finite"] * finite + [f"{op} {bound}" for op, bound in rules])
+    got = f"{f.name} must be {need}, got "
+    tests = [(_TESTS[op], bound) for op, bound in rules]
+    each = getattr(f.type, "__origin__", None) in (tuple, list)
+
+    def check(self):
+        value = get(self)
+        for item in value if each else (value,):
+            if not ((not finite or isfinite(item)) and all(t(item, b) for t, b in tests)):
+                raise ValueError(got + repr(item))
+
+    if f.type is not float or len(tests) != 1:
+        return check
+    (test, bound), = tests
+
+    def check_one(self):  # a float with one rule, the common case, without the loops
+        value = get(self)
+        if not (test(value, bound) and isfinite(value)):
+            raise ValueError(got + repr(value))
+    return check_one
+
+
 def record(cls):
     """Make cls a frozen record: ``__init__`` takes the fields positionally or by name,
-    then calls ``__post_init__``; repr, ``==`` (within one class) and hash follow
-    the field tuple; fields refuse assignment and deletion."""
+    checks their rules, then calls ``__post_init__``; repr, ``==`` (within one class)
+    and hash follow the field tuple; fields refuse assignment and deletion."""
     declared = []
     for name, kind in cls.__annotations__.items():
         f = cls.__dict__.get(name, MISSING)
@@ -50,7 +90,8 @@ def record(cls):
         declared.append(f)
     names = tuple(f.name for f in declared)
     defaults = tuple((f.name, f.default) for f in declared)
-    post_init = getattr(cls, "__post_init__", None)
+    # What __init__ runs once the fields are set: each field's rules in order, then __post_init__.
+    steps = tuple(filter(None, [*map(_checker, declared), getattr(cls, "__post_init__", None)]))
     # Not self.__dict__.update: on 3.11 that builds the instance dict and slows every read.
     setattr_ = object.__setattr__
     get = attrgetter(*names)
@@ -69,8 +110,8 @@ def record(cls):
             setattr_(self, name, value)
         if kwargs:
             raise TypeError(f"{cls.__qualname__}() got an extra argument {next(iter(kwargs))!r}")
-        if post_init is not None:
-            post_init(self)
+        for step in steps:
+            step(self)
 
     def __repr__(self):
         body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))

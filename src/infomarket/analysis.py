@@ -4,16 +4,15 @@ Health is the truthful share of total equilibrium consumption. Sweeps couple
 an information-reliability level r to the two demand intercepts (truthful
 demand scaled by r, deceptive demand by 1 - r) and trace health across a
 grid, before and after a parameter change. The spread graph is a directed
-channel network; the cheapest route between two channels is found with a
-shortest-path search whose ties break toward the lexicographically smallest
-node sequence.
+channel network; a shortest-path search finds the cheapest route between two
+channels, breaking ties toward the least node sequence among tight routes.
 """
 
 import heapq
 import math
 from typing import Iterable, Sequence
 
-from ._record import record
+from ._record import record, rule
 from .errors import (
     InfeasibleEquilibrium,
     NoMarket,
@@ -30,11 +29,7 @@ class MarketState:
 
     fake: Equilibrium | None
     true: Equilibrium | None
-    reliability: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.reliability <= 1.0:
-            raise ValueError(f"reliability must lie in [0, 1], got {self.reliability}")
+    reliability: float = rule(">=", 0, "<=", 1, default=0.0)
 
 
 @record
@@ -128,7 +123,7 @@ def comparative_sweep(
     after = []
     for r in grid:
         if not 0.0 <= r <= 1.0:
-            raise ValueError(f"reliability must lie in [0, 1], got {r}")
+            MarketState(None, None, r)  # raises MarketState's range error for r
         before.append((r, _health(base, r)))
         after.append((r, _health(changed, r)))
     return HealthCurve(points=tuple(before)), HealthCurve(points=tuple(after))
@@ -219,12 +214,14 @@ def min_cost_spread_path(
 ) -> tuple[float, list[str]]:
     """Cheapest route from source to target.
 
-    Dijkstra's search over nonnegative costs; among equally cheap routes the
-    lexicographically smallest node sequence wins. Keying the heap on
-    (cost, path) makes that tie-break fall out of the pop order. The graph
-    numbers its nodes in name order, so a path of numbers compares as its
-    path of names. An entry is pushed only if it beats the best one already
-    pushed for its node; the first pop per node is still the least (cost, path).
+    Dijkstra's search over nonnegative costs. It returns the least node sequence
+    among *tight* routes, on which every edge has ``dist[u] + w == dist[v]`` for
+    the float distance ``dist`` from source; under rounding, a route that is not
+    tight can fold to the same total. Keying the heap on (cost, path) makes that
+    tie-break fall out of the pop order. The graph numbers its nodes in name
+    order, so a path of numbers compares as its path of names. An entry is pushed
+    only if it beats the best one already pushed for its node; the first pop per
+    node is still the least (cost, path).
 
     Raises:
         Unreachable: no route exists.

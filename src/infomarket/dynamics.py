@@ -11,21 +11,15 @@ import math
 from enum import Enum
 from typing import Iterator
 
-from ._record import record
+from ._record import record, rule
 
 
 @record
 class RetentionParams:
     """Initial retention fraction and per-time-unit decay rate."""
 
-    initial: float = 1.0
-    decay: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.initial <= 1.0:
-            raise ValueError(f"initial retention must lie in [0, 1], got {self.initial}")
-        if not (self.decay >= 0 and math.isfinite(self.decay)):
-            raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
+    initial: float = rule(">=", 0, "<=", 1, default=1.0)
+    decay: float = rule(">=", 0, default=0.5)
 
 
 def retention(params: RetentionParams, t) -> float:
@@ -49,15 +43,12 @@ class UtilityCurve:
     """
 
     family: CurveFamily
-    scale: float = 1.0
+    scale: float = rule(">=", 0, default=1.0)
     exponent: float = 2.0
 
     def __post_init__(self):
-        if not (self.scale >= 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
         if self.family is CurveFamily.COMPOUNDING and not (
-            self.exponent > 1 and math.isfinite(self.exponent)
-        ):
+                self.exponent > 1 and math.isfinite(self.exponent)):
             raise ValueError(f"exponent must be finite and > 1, got {self.exponent}")
 
 

@@ -12,7 +12,7 @@ import math
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
-from ._record import record
+from ._record import record, rule
 from .errors import EmptyInput
 from .market import NewsType
 from .payoffs import HarmPayoffParams, harm_payoff
@@ -91,12 +91,8 @@ class AcceptanceRule:
     gains are modeling knobs, not measured quantities.
     """
 
-    true_gain: float = 2.0
-    fake_gain: float = 3.0
-
-    def __post_init__(self):
-        if self.true_gain < 0 or self.fake_gain < 0:
-            raise ValueError("acceptance gains must be >= 0")
+    true_gain: float = rule(">=", 0, default=2.0)
+    fake_gain: float = rule(">=", 0, default=3.0)
 
     def gain(self, action: Action) -> float:
         return self.fake_gain if action is Action.FAKE else self.true_gain

@@ -7,11 +7,10 @@ handles non-linear curves, and a cobweb iteration classifies whether the
 clearing point attracts or repels out-of-equilibrium prices.
 """
 
-import math
 from enum import Enum
 from typing import Callable
 
-from ._record import record
+from ._record import record, rule
 from .errors import InfeasibleEquilibrium, NonMonotone, NoRoot
 
 BISECTION_MAX_ITER = 200
@@ -36,19 +35,9 @@ class MarketParams:
         demand_slope: quantity demanded lost per unit price (c > 0).
     """
 
-    supply_slope: float
-    demand_intercept: float
-    demand_slope: float
-
-    def __post_init__(self):
-        for name in ("supply_slope", "demand_intercept", "demand_slope"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.supply_slope > 0:
-            raise ValueError(f"supply_slope must be positive, got {self.supply_slope}")
-        if not self.demand_slope > 0:
-            raise ValueError(f"demand_slope must be positive, got {self.demand_slope}")
+    supply_slope: float = rule(">", 0)
+    demand_intercept: float = rule()
+    demand_slope: float = rule(">", 0)
 
     def supply(self, price):
         return self.supply_slope * price

@@ -7,7 +7,7 @@ payoff stays flat, so the two cross at a computable harm level. All functions
 use plain arithmetic and accept exact number types (e.g. Fraction) unchanged.
 """
 
-from ._record import record
+from ._record import record, rule
 from .errors import NoCrossover
 from .market import NewsType
 
@@ -17,11 +17,7 @@ class ProviderParams:
     """Provider payoff coefficients: payoff = base - cost_sensitivity * cost."""
 
     base: float
-    cost_sensitivity: float
-
-    def __post_init__(self):
-        if self.cost_sensitivity < 0:
-            raise ValueError("cost_sensitivity must be >= 0")
+    cost_sensitivity: float = rule(">=", 0)
 
 
 @record
@@ -29,26 +25,17 @@ class ConsumerParams:
     """Consumer payoff coefficients: payoff = base - disadvantage_sensitivity * disadvantage."""
 
     base: float
-    disadvantage_sensitivity: float
-
-    def __post_init__(self):
-        if self.disadvantage_sensitivity < 0:
-            raise ValueError("disadvantage_sensitivity must be >= 0")
+    disadvantage_sensitivity: float = rule(">=", 0)
 
 
 @record
 class CostSchedule:
     """Per-news-type provision costs and consumer disadvantages."""
 
-    fake_cost: float = 0.0
-    true_cost: float = 0.0
-    fake_disadvantage: float = 0.0
-    true_disadvantage: float = 0.0
-
-    def __post_init__(self):
-        for name in ("fake_cost", "true_cost", "fake_disadvantage", "true_disadvantage"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+    fake_cost: float = rule(">=", 0, default=0.0)
+    true_cost: float = rule(">=", 0, default=0.0)
+    fake_disadvantage: float = rule(">=", 0, default=0.0)
+    true_disadvantage: float = rule(">=", 0, default=0.0)
 
     def cost(self, kind: NewsType):
         return self.fake_cost if kind is NewsType.FAKE else self.true_cost
@@ -66,13 +53,9 @@ class HarmPayoffParams:
     and ``truth_payoff`` the flat payoff of truthful provision.
     """
 
-    fake_base: float = 5.0
-    harm_penalty: float = 2.0
-    truth_payoff: float = 3.0
-
-    def __post_init__(self):
-        if not self.harm_penalty > 0:
-            raise ValueError("harm_penalty must be > 0")
+    fake_base: float = rule(default=5.0)
+    harm_penalty: float = rule(">", 0, default=2.0)
+    truth_payoff: float = rule(default=3.0)
 
 
 def provider_payoff(params: ProviderParams, kind: NewsType, costs: CostSchedule):

@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._record import record
+from ._record import record, rule
 from .errors import (
     EmptyInput,
     InvalidSeats,
@@ -35,12 +35,10 @@ class Ballot:
     """A weighted ranking over candidates. Partial rankings are allowed."""
 
     ranking: tuple[str, ...]
-    weight: float = 1.0
+    weight: float = rule(">=", 0, default=1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "ranking", tuple(self.ranking))
-        if not (self.weight >= 0 and math.isfinite(self.weight)):
-            raise ValueError(f"ballot weight must be finite and >= 0, got {self.weight}")
         if len(set(self.ranking)) != len(self.ranking):
             raise ValueError(f"ballot ranks a candidate twice: {self.ranking}")
 

@@ -204,6 +204,19 @@ class TestSpreadPath:
                 outcomes["route"] += 1
         assert min(outcomes.values()) >= 100, outcomes
 
+    def test_ties_break_among_tight_routes_only(self):
+        # Both routes fold to exactly 2**54, but s>a is not tight: x's float
+        # distance is 1, reached only through b. The search returns the least
+        # node sequence among tight routes; the exhaustive oracle compares
+        # whole-route sums and so prefers s>a>x>t, a known difference.
+        edges = (("s", "a", 1 + 2.0**-52), ("s", "b", 1.0), ("a", "x", 0.0),
+                 ("b", "x", 0.0), ("x", "t", 2.0**54))
+        g = SpreadGraph(nodes=("s", "a", "b", "x", "t"), edges=edges)
+        tight = (2.0**54, ["s", "b", "x", "t"])
+        assert min_cost_spread_path(g, "s", "t") == tight
+        assert min_cost_spread_path_by_name(g, "s", "t") == tight
+        assert cheapest_simple_path(edges, "s", "t") == (2.0**54, ["s", "a", "x", "t"])
+
     def test_graph_validation(self):
         with pytest.raises(ValueError):
             SpreadGraph(nodes=("A",), edges=(("A", "A", 1.0),))

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from infomarket import _record
 
@@ -126,3 +126,84 @@ def test_fields_defaults_and_match_args_agree():
     match Record(1, 2):
         case Record(a, b, c):
             assert (a, b, c) == (1, 2, None)
+
+
+# Range rules. The predicate below is written apart from ``_record``: it
+# spells out the comparisons, finiteness and the message form on its own.
+COMPARE = {">=": lambda v, b: v >= b, ">": lambda v, b: v > b, "<=": lambda v, b: v <= b,
+           "in": lambda v, b: v in b}
+SCALAR, MANY = (float, int), tuple[float, ...]
+
+numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=7),
+)
+bounds = st.one_of(st.integers(-2, 2), st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                   st.fractions(max_denominator=3).filter(lambda b: abs(b) < 3))
+one_rule = st.tuples(st.sampled_from([">=", ">", "<="]), bounds) | st.tuples(
+    st.just("in"), st.tuples(bounds, bounds))
+specs = st.lists(st.tuples(st.sampled_from([float, int, MANY]), st.lists(one_rule, max_size=3)),
+                 min_size=1, max_size=3)
+
+
+def value_of(kind):
+    return numbers if kind in SCALAR else st.lists(numbers, max_size=4).flatmap(
+        lambda items: st.sampled_from([tuple(items), items]))
+
+
+def expected_error(spec, values):
+    """The text the first failing field item must raise, or None when all pass."""
+    for (name, kind, rules), value in zip(spec, values):
+        for item in (value,) if kind in SCALAR else value:
+            finite = kind is not int
+            if ((finite and (item != item or abs(item) == math.inf))
+                    or not all(COMPARE[op](item, bound) for op, bound in rules)):
+                words = ["finite"] * finite + [f"{op} {bound}" for op, bound in rules]
+                return f"{name} must be {' and '.join(words)}, got {item!r}"
+    return None
+
+
+def ranged(spec, post_init_fails):
+    """A record with spec's (name, kind, rules) fields, each declared with ``rule``."""
+    body = {"__annotations__": {name: kind for name, kind, _ in spec}}
+    body.update((name, _record.rule(*[x for r in rules for x in r])) for name, _, rules in spec)
+    if post_init_fails:
+        def __post_init__(self):
+            raise ValueError("__post_init__ ran")
+        body["__post_init__"] = __post_init__
+    return _record.record(type("Ranged", (), body))
+
+
+def build_outcome(cls, args, by_name):
+    try:
+        return repr(build(cls, args, by_name))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs.map(lambda s: [(name, kind, rules) for name, (kind, rules) in zip("abc", s)]),
+       st.booleans(), st.data())
+def test_rules_raise_exactly_when_the_predicate_fails(spec, post_init_fails, data):
+    cls = ranged(spec, post_init_fails)
+    values = tuple(data.draw(value_of(kind)) for _, kind, _ in spec)
+    by_position, by_name = build_outcome(cls, values, False), build_outcome(cls, values, True)
+    assert by_position == by_name
+    error = expected_error(spec, values)
+    if error is None and post_init_fails:
+        error = "__post_init__ ran"
+    if error is None:
+        assert tuple(getattr(cls(*values), name) for name, _, _ in spec) == values
+    else:
+        assert by_position == f"ValueError: {error}"
+
+
+def test_rules_are_checked_before_post_init():
+    from infomarket.dynamics import CurveFamily, UtilityCurve
+    from infomarket.voting import Ballot
+    with pytest.raises(ValueError, match=r"^weight must be finite and >= 0, got -1.0$"):
+        Ballot(("A", "A"), -1.0)
+    with pytest.raises(ValueError, match=r"^scale must be finite and >= 0, got nan$"):
+        UtilityCurve(CurveFamily.COMPOUNDING, math.nan, 0.5)

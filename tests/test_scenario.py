@@ -216,3 +216,23 @@ def test_format_number():
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="not a finite number"):
             format_number(value)
+
+
+def test_every_float_key_declares_a_rule():
+    # The section records check every number as they are built, so a float
+    # key without a rule would let nan and inf through the parser.
+    from infomarket._record import fields
+    from infomarket.scenario import _keys
+    sections, todo = set(), [parse_scenario(FULL_TEXT)]
+    while todo:
+        value = todo.pop()
+        if hasattr(value, "__record_fields__") and type(value) not in sections:
+            sections.add(type(value))
+            todo += [getattr(value, f.name) for f in fields(value)]
+    assert {cls.__name__ for cls in sections} >= {
+        "Scenario", "MarketScenario", "MarketParams", "HarmPayoffParams", "GameSection",
+        "VotingSection", "DynamicsSection", "AnalysisSection"}
+    for cls in sections:
+        for f in _keys(cls).values():
+            if f.type in (float, tuple[float, ...]):
+                assert "rules" in f.metadata, f"{cls.__name__}.{f.name}"
