@@ -1,10 +1,10 @@
 """Frozen value records: what ``@dataclass(frozen=True)`` gave this package, plus range rules.
 
 Fields are the class's own annotations, in order, with a class attribute,
-``field(default=...)`` or ``rule(..., default=...)`` as a default. A ``rule``
-field is checked as the record is built, in field order and before
-``__post_init__``: its value, or each item of a tuple or list, must pass each
-``value <op> bound`` (and be finite if annotated ``float`` or ``tuple[float, ...]``),
+``field(default=...)`` or ``rule(..., default=...)`` as a default; a declared field may be
+reused, since each record takes its own copy. A ``rule`` field is checked as the record is
+built, in field order and before ``__post_init__``: its value, or each item of a tuple or
+list, must pass each ``value <op> bound`` (and be finite if ``float`` or ``tuple[float, ...]``),
 else ``ValueError("<field> must be [finite and ]<op> <bound>..., got <value!r>")``.
 Methods are closures, not generated source: a run imports no ``dataclasses`` or ``inspect``.
 """
@@ -81,7 +81,7 @@ def record(cls):
     declared = []
     for name, kind in cls.__annotations__.items():
         f = cls.__dict__.get(name, MISSING)
-        f = f if isinstance(f, Field) else Field(f)
+        f = Field(f.default, f.metadata) if isinstance(f, Field) else Field(f)  # cls's own copy
         f.name, f.type = name, kind
         if f.default is not MISSING:
             setattr(cls, name, f.default)

@@ -12,7 +12,7 @@ import heapq
 import math
 from typing import Iterable, Sequence
 
-from ._record import record, rule
+from ._record import field, record
 from .errors import (
     InfeasibleEquilibrium,
     NoMarket,
@@ -21,6 +21,7 @@ from .errors import (
     Unreachable,
 )
 from .market import Equilibrium, MarketParams, MarketScenario, equilibrium_closed_form
+from .scenario import AnalysisSection, _keys, strictly_increasing
 
 
 @record
@@ -29,7 +30,7 @@ class MarketState:
 
     fake: Equilibrium | None
     true: Equilibrium | None
-    reliability: float = rule(">=", 0, "<=", 1, default=0.0)
+    reliability: float = field(0.0, _keys(AnalysisSection)["reliability_grid"].metadata)
 
 
 @record
@@ -40,9 +41,7 @@ class HealthCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple((r, h) for r, h in self.points))
-        rs = [r for r, _ in self.points]
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("reliability grid must be strictly increasing")
+        strictly_increasing("reliability_grid", [r for r, _ in self.points])
         if any(not 0 <= h <= 1 for _, h in self.points):
             raise ValueError("health scores must lie in [0, 1]")
 

@@ -11,20 +11,21 @@ import math
 from enum import Enum
 from typing import Iterator
 
-from ._record import record, rule
+from ._record import field, record
+from .scenario import DynamicsSection, _keys
 
 
 @record
 class RetentionParams:
     """Initial retention fraction and per-time-unit decay rate."""
 
-    initial: float = rule(">=", 0, "<=", 1, default=1.0)
-    decay: float = rule(">=", 0, default=0.5)
+    initial: float = _keys(DynamicsSection)["initial_retention"]
+    decay: float = field(0.5, _keys(DynamicsSection)["decay_grid"].metadata)
 
 
 def retention(params: RetentionParams, t) -> float:
     """Fraction of information still held after time t: initial * exp(-decay*t)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     return params.initial * math.exp(-params.decay * t)
 
@@ -38,25 +39,20 @@ class CurveFamily(Enum):
 class UtilityCurve:
     """Utility of holding k information pieces, evaluated at integer k.
 
-    The diminishing family is ``scale * (1 + 1/2 + ... + 1/k)``; the
-    compounding family is ``scale * k**exponent`` with exponent > 1.
+    The diminishing family is ``scale * (1 + 1/2 + ... + 1/k)``; the compounding
+    family is ``scale * k**exponent``. Either needs a finite exponent > 1.
     """
 
     family: CurveFamily
-    scale: float = rule(">=", 0, default=1.0)
-    exponent: float = 2.0
-
-    def __post_init__(self):
-        if self.family is CurveFamily.COMPOUNDING and not (
-                self.exponent > 1 and math.isfinite(self.exponent)):
-            raise ValueError(f"exponent must be finite and > 1, got {self.exponent}")
+    scale: float = _keys(DynamicsSection)["compounding_scale"]
+    exponent: float = _keys(DynamicsSection)["compounding_exponent"]
 
 
-def diminishing_curve(scale=1.0) -> UtilityCurve:
+def diminishing_curve(scale=UtilityCurve.scale) -> UtilityCurve:
     return UtilityCurve(family=CurveFamily.DIMINISHING, scale=scale)
 
 
-def compounding_curve(scale=1.0, exponent=2.0) -> UtilityCurve:
+def compounding_curve(scale=UtilityCurve.scale, exponent=UtilityCurve.exponent) -> UtilityCurve:
     return UtilityCurve(family=CurveFamily.COMPOUNDING, scale=scale, exponent=exponent)
 
 

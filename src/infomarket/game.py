@@ -12,10 +12,11 @@ import math
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
-from ._record import record, rule
+from ._record import record
 from .errors import EmptyInput
 from .market import NewsType
 from .payoffs import HarmPayoffParams, harm_payoff
+from .scenario import GameSection, _keys
 from .voting import droop_quota
 
 Action = NewsType  # ProvideTrue == NewsType.TRUE, ProvideFake == NewsType.FAKE
@@ -91,8 +92,8 @@ class AcceptanceRule:
     gains are modeling knobs, not measured quantities.
     """
 
-    true_gain: float = rule(">=", 0, default=2.0)
-    fake_gain: float = rule(">=", 0, default=3.0)
+    true_gain: float = _keys(GameSection)["true_acceptance"]
+    fake_gain: float = _keys(GameSection)["fake_acceptance"]
 
     def gain(self, action: Action) -> float:
         return self.fake_gain if action is Action.FAKE else self.true_gain
@@ -272,10 +273,10 @@ class TournamentRow:
 def run_tournament(
     strategies: Sequence[Strategy],
     params: HarmPayoffParams = HarmPayoffParams(),
-    rounds: int = 10,
+    rounds: int = GameSection.rounds,
     harm_rule: str = HARM_PER_OWN_FAKE,
-    total_audience: float = 100.0,
-    seats: int = 2,
+    total_audience: float = GameSection.audience,
+    seats: int = GameSection.seats,
     acceptance_rule: AcceptanceRule = AcceptanceRule(),
 ) -> list[TournamentRow]:
     """Round-robin over strategy pairs, self-play included.

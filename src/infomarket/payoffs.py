@@ -16,7 +16,7 @@ from .market import NewsType
 class ProviderParams:
     """Provider payoff coefficients: payoff = base - cost_sensitivity * cost."""
 
-    base: float
+    base: float = rule()
     cost_sensitivity: float = rule(">=", 0)
 
 
@@ -24,7 +24,7 @@ class ProviderParams:
 class ConsumerParams:
     """Consumer payoff coefficients: payoff = base - disadvantage_sensitivity * disadvantage."""
 
-    base: float
+    base: float = rule()
     disadvantage_sensitivity: float = rule(">=", 0)
 
 
@@ -74,7 +74,7 @@ def harm_payoff(params: HarmPayoffParams, action: NewsType, harm):
     Deceptive provision pays ``fake_base - harm_penalty * harm``; truthful
     provision pays ``truth_payoff`` regardless of harm.
     """
-    if harm < 0:
+    if not harm >= 0:
         raise ValueError(f"harm must be >= 0, got {harm}")
     if action is NewsType.FAKE:
         return params.fake_base - params.harm_penalty * harm
@@ -108,6 +108,6 @@ def compensation(provider_coeff, consumer_coeff, quality, kind: NewsType):
     for name, v in (("provider_coeff", provider_coeff),
                     ("consumer_coeff", consumer_coeff),
                     ("quality", quality)):
-        if v < 0:
+        if not v >= 0:
             raise ValueError(f"{name} must be >= 0, got {v}")
     return provider_coeff * consumer_coeff * quality

@@ -21,9 +21,9 @@ Sections are optional but at least one must be present. Each section's
 record declares its keys: the field names are the allowed keys, the field
 types pick the parser, the field defaults fill absent keys, and a field's
 ``_record.rule`` is the key's range, checked as the record is built; every
-float key has one, so every number must be finite. Unknown sections and keys
-are rejected outright so typos fail loudly, and a key that is present needs a
-value. Numbers serialize with 12 significant digits, and parse(serialize(s)) == s.
+float key has one, so every number must be finite. The kernels take their defaults
+and rules from these fields. Unknown sections and keys fail, a present key needs
+a value, and numbers serialize with 12 significant digits: parse(serialize(s)) == s.
 """
 
 import math
@@ -76,7 +76,7 @@ class DynamicsSection:
     initial_retention: float = rule(">=", 0, "<=", 1, default=1.0)
     decay_grid: tuple[float, ...] = rule(">=", 0, default=(0.1, 0.3, 0.5, 1.0))
     diminishing_scale: float = rule(">=", 0, default=1.0)
-    compounding_scale: float = rule(">=", 0, default=1.0)
+    compounding_scale: float = diminishing_scale
     compounding_exponent: float = rule(">", 1, default=2.0)
     horizon: int = rule(">=", 1, default=20)
 
@@ -91,10 +91,14 @@ class AnalysisSection:
     changed_true: "MarketParams | None" = None
 
     def __post_init__(self):
-        for a, b in zip(self.reliability_grid, self.reliability_grid[1:]):
-            if b <= a:
-                raise ValueError(
-                    f"reliability_grid must be strictly increasing, got {b!r} after {a!r}")
+        strictly_increasing("reliability_grid", self.reliability_grid)
+
+
+def strictly_increasing(name: str, values) -> None:
+    """Raise ValueError at the first item of values that is not above the one before."""
+    for a, b in zip(values, values[1:]):
+        if b <= a:
+            raise ValueError(f"{name} must be strictly increasing, got {b!r} after {a!r}")
 
 
 @record

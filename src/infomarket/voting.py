@@ -25,8 +25,8 @@ from .errors import (
     ParseError,
     UnknownCandidate,
 )
+from .scenario import VotingSection
 
-DEFAULT_TOLERANCE = 1e-9
 KEEP_ITERATION_CAP = 1000
 
 
@@ -100,7 +100,7 @@ def fptp_winner(votes) -> FptpResult:
     if not items:
         raise EmptyInput("no candidates to tally")
     for cand, count in items:
-        if count < 0:
+        if not count >= 0:
             raise ValueError(f"negative vote count for {cand!r}")
     best = max(count for _, count in items)
     leaders = sorted(cand for cand, count in items if count == best)
@@ -307,7 +307,7 @@ def meek_count(
     ballots: Sequence[Ballot],
     candidates: Sequence[str],
     seats: int,
-    tolerance: float = DEFAULT_TOLERANCE,
+    tolerance: float = VotingSection.tolerance,
 ) -> ElectionResult:
     """Multi-seat count with iteratively adjusted retention fractions.
 
@@ -381,7 +381,7 @@ def meek_count(
 
         room = seats - len(winners)
         if room == 0:
-            tally.fold(totals, hopefuls)  # the snapshot reads what the passes since the fill skipped
+            tally.fold(totals, hopefuls)  # the snapshot reads what passes since the fill skipped
         excluding = 0 < room < len(hopefuls)
         if excluding:
             low = min(totals[c] for c in hopefuls)

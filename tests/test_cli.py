@@ -411,6 +411,14 @@ def test_package_import_loads_no_dataclasses_or_inspect():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_no_source_line_is_longer_than_100_characters():
+    src = Path(__file__).resolve().parent.parent / "src" / "infomarket"
+    long = [f"{path.name}:{number}" for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert not long
+
+
 PACKAGE_NAMES = set("""
     AcceptanceRule Action Ballot ConsumerParams CostSchedule CountRound CurveFamily
     ElectionResult Equilibrium GameState HarmPayoffParams HealthCurve MarketParams

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from infomarket.dynamics import RetentionParams, retention
 from infomarket.errors import NoCrossover
 from infomarket.market import NewsType
 from infomarket.payoffs import (
@@ -15,6 +17,7 @@ from infomarket.payoffs import (
     harm_payoff,
     provider_payoff,
 )
+from infomarket.voting import fptp_winner
 
 
 def test_provider_payoff_examples():
@@ -102,3 +105,25 @@ def test_param_validation():
         CostSchedule(fake_cost=-1)
     with pytest.raises(ValueError):
         HarmPayoffParams(harm_penalty=0)
+
+
+def test_bases_must_be_finite():
+    with pytest.raises(ValueError, match=r"^base must be finite, got nan$"):
+        ProviderParams(math.nan, 1.0)
+    with pytest.raises(ValueError, match=r"^base must be finite, got inf$"):
+        ConsumerParams(math.inf, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fptp_winner([math.nan, 1.0]), "negative vote count for 0"),
+    (lambda: fptp_winner([1.0, math.nan]), "negative vote count for 1"),
+    (lambda: compensation(math.nan, 1, 1, NewsType.TRUE), "provider_coeff must be >= 0, got nan"),
+    (lambda: compensation(1, math.nan, 1, NewsType.TRUE), "consumer_coeff must be >= 0, got nan"),
+    (lambda: compensation(1, 1, math.nan, NewsType.TRUE), "quality must be >= 0, got nan"),
+    (lambda: harm_payoff(HarmPayoffParams(), NewsType.FAKE, math.nan),
+     "harm must be >= 0, got nan"),
+    (lambda: retention(RetentionParams(), math.nan), "t must be >= 0, got nan"),
+], ids=["fptp-first", "fptp-last", "provider_coeff", "consumer_coeff", "quality", "harm", "t"])
+def test_nan_fails_the_nonnegative_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -1,13 +1,33 @@
-import pytest
+import inspect
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from infomarket._record import fields
+from infomarket.analysis import MarketState
+from infomarket.dynamics import (
+    CurveFamily,
+    RetentionParams,
+    UtilityCurve,
+    compounding_curve,
+    diminishing_curve,
+)
 from infomarket.errors import ParseError
+from infomarket.game import AcceptanceRule, run_tournament
 from infomarket.scenario import (
+    AnalysisSection,
+    DynamicsSection,
+    GameSection,
     Scenario,
+    VotingSection,
+    _keys,
     format_number,
     load_scenario,
     parse_scenario,
     serialize_scenario,
 )
+from infomarket.voting import meek_count
 
 FULL_TEXT = """\
 # kitchen sink
@@ -236,3 +256,64 @@ def test_every_float_key_declares_a_rule():
         for f in _keys(cls).values():
             if f.type in (float, tuple[float, ...]):
                 assert "rules" in f.metadata, f"{cls.__name__}.{f.name}"
+
+
+# Kernel fields that take their default and rules from a section field: (kernel record,
+# its field, the section, the section key, whether the default is shared too).
+SHARED = [
+    (AcceptanceRule, "true_gain", GameSection, "true_acceptance", True),
+    (AcceptanceRule, "fake_gain", GameSection, "fake_acceptance", True),
+    (RetentionParams, "initial", DynamicsSection, "initial_retention", True),
+    (RetentionParams, "decay", DynamicsSection, "decay_grid", False),
+    (UtilityCurve, "scale", DynamicsSection, "diminishing_scale", True),
+    (UtilityCurve, "exponent", DynamicsSection, "compounding_exponent", True),
+    (MarketState, "reliability", AnalysisSection, "reliability_grid", False),
+    (DynamicsSection, "compounding_scale", DynamicsSection, "diminishing_scale", True),
+]
+# The other fields each kernel record needs.
+REQUIRED = {UtilityCurve: {"family": CurveFamily.COMPOUNDING},
+            MarketState: {"fake": None, "true": None},
+            GameSection: {"strategies": ("AlwaysTrue",)}}
+
+
+@pytest.mark.parametrize("kernel, name, section, key, same_default", SHARED,
+                         ids=[f"{kernel.__name__}.{name}" for kernel, name, *_ in SHARED])
+def test_kernel_fields_hold_their_sections_declaration(kernel, name, section, key, same_default):
+    mine, declared = next(f for f in fields(kernel) if f.name == name), _keys(section)[key]
+    assert mine.metadata is declared.metadata  # the rules are declared once, on the section
+    assert (mine.name, declared.name) == (name, key)  # each record names its own field
+    if same_default:
+        assert mine.default == declared.default
+
+
+def outcome(cls, name, value):
+    """The text after the field name of the error building cls with name = value, or None."""
+    try:
+        cls(**{name: value}, **REQUIRED.get(cls, {}))
+    except ValueError as exc:
+        return str(exc).removeprefix(f"{name} ")
+    return None
+
+
+EDGES = [0.0, -0.0, 1.0, 2.0, math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0),
+         math.nextafter(1.0, 0.0), math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHARED), st.one_of(st.sampled_from(EDGES), st.floats()))
+def test_kernel_record_rejects_exactly_what_its_section_rejects(shared, x):
+    kernel, name, section, key, _ = shared
+    as_key = (x,) if _keys(section)[key].type == tuple[float, ...] else x
+    assert outcome(kernel, name, x) == outcome(section, key, as_key)
+
+
+def test_kernel_default_arguments_are_the_sections():
+    def defaults(function):
+        return {k: p.default for k, p in inspect.signature(function).parameters.items()}
+    tournament = defaults(run_tournament)
+    assert (tournament["rounds"], tournament["total_audience"], tournament["seats"]) == (
+        GameSection.rounds, GameSection.audience, GameSection.seats)
+    assert defaults(meek_count)["tolerance"] == VotingSection.tolerance
+    assert defaults(diminishing_curve) == {"scale": DynamicsSection.diminishing_scale}
+    assert defaults(compounding_curve) == {"scale": DynamicsSection.compounding_scale,
+                                           "exponent": DynamicsSection.compounding_exponent}
