@@ -33,20 +33,19 @@ _EXPORTS = {
         "nash_equilibria", "play_iterated", "run_tournament", "strategy_by_name",
     ),
     "market": (
-        "Equilibrium", "MarketParams", "MarketScenario", "NewsType", "Stability",
-        "StabilityReport", "equilibrium_closed_form", "equilibrium_numeric",
-        "stability_cobweb",
+        "Equilibrium", "NewsType", "Stability", "StabilityReport",
+        "equilibrium_closed_form", "equilibrium_numeric", "stability_cobweb",
     ),
     "matching": (
         "Matching", "PreferenceProfile", "SegmentLabel", "gale_shapley", "is_stable",
         "marginal_contribution", "rankings_from_scores", "segment", "segment_news",
     ),
     "payoffs": (
-        "ConsumerParams", "CostSchedule", "HarmPayoffParams", "ProviderParams",
-        "compensation", "consumer_payoff", "crossover_harm", "harm_payoff",
-        "provider_payoff",
+        "ConsumerParams", "CostSchedule", "ProviderParams", "compensation",
+        "consumer_payoff", "crossover_harm", "harm_payoff", "provider_payoff",
     ),
-    "scenario": ("Scenario", "load_scenario", "parse_scenario", "serialize_scenario"),
+    "scenario": ("HarmPayoffParams", "MarketParams", "MarketScenario", "Scenario",
+                 "load_scenario", "parse_scenario", "serialize_scenario"),
     "voting": (
         "Ballot", "CountRound", "ElectionResult", "droop_quota", "fptp_winner",
         "meek_count", "parse_ballots",

@@ -22,7 +22,7 @@ import sys
 from math import isfinite
 
 from .errors import InfoMarketError, ParseError
-from .scenario import Scenario, format_number, load_scenario, resolve_path
+from .scenario import HarmPayoffParams, Scenario, format_number, load_scenario, resolve_path
 
 
 def _require_section(scenario: Scenario, attr: str, section: str):
@@ -53,7 +53,6 @@ def _run_match(scenario, scenario_path):
 
 def _run_game(scenario, scenario_path):
     from . import game
-    from .payoffs import HarmPayoffParams
     section = _require_section(scenario, "game", "game")
     params = scenario.payoffs if scenario.payoffs is not None else HarmPayoffParams()
     strategies = [game.strategy_by_name(name) for name in section.strategies]

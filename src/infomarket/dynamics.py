@@ -99,7 +99,7 @@ def check_increment_profile(curve: UtilityCurve, n: int) -> IncrementVerdict:
     curves nondecreasing ones. On failure the verdict carries the first k at
     which the comparison breaks.
     """
-    if n < 2:
+    if not n >= 2:
         raise ValueError(f"n must be >= 2, got {n}")
     gen = increments(curve)
     prev = next(gen)

@@ -133,7 +133,7 @@ def play_iterated(
     rises by one per deceptive action of their own, under ``"any"`` by the
     total number of deceptive actions played in the round (by either player).
     """
-    if rounds < 1:
+    if not rounds >= 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if harm_rule not in (HARM_PER_OWN_FAKE, HARM_PER_ANY_FAKE):
         raise ValueError(f"harm_rule must be 'own' or 'any', got {harm_rule!r}")

@@ -10,8 +10,9 @@ clearing point attracts or repels out-of-equilibrium prices.
 from enum import Enum
 from typing import Callable
 
-from ._record import record, rule
+from ._record import record
 from .errors import InfeasibleEquilibrium, NonMonotone, NoRoot
+from .scenario import MarketParams, MarketScenario
 
 BISECTION_MAX_ITER = 200
 DEFAULT_TOLERANCE = 1e-9
@@ -23,35 +24,6 @@ class NewsType(Enum):
 
     FAKE = "fake"
     TRUE = "true"
-
-
-@record
-class MarketParams:
-    """Linear market coefficients.
-
-    Attributes:
-        supply_slope: quantity supplied per unit price (a > 0).
-        demand_intercept: quantity demanded at price zero (b, any finite value).
-        demand_slope: quantity demanded lost per unit price (c > 0).
-    """
-
-    supply_slope: float = rule(">", 0)
-    demand_intercept: float = rule()
-    demand_slope: float = rule(">", 0)
-
-    def supply(self, price):
-        return self.supply_slope * price
-
-    def demand(self, price):
-        return self.demand_intercept - self.demand_slope * price
-
-
-@record
-class MarketScenario:
-    """Linear market coefficients for both news types."""
-
-    fake: MarketParams
-    true: MarketParams
 
 
 @record
@@ -184,7 +156,7 @@ def stability_cobweb(params: MarketParams, p0: float, steps: int) -> StabilityRe
     period two. ``iterates`` holds the trace after each of the ``steps``
     applications (the starting price is not included).
     """
-    if steps < 1:
+    if not steps >= 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     a, b, c = params.supply_slope, params.demand_intercept, params.demand_slope
     ratio = a / c

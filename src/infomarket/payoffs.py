@@ -10,6 +10,7 @@ use plain arithmetic and accept exact number types (e.g. Fraction) unchanged.
 from ._record import record, rule
 from .errors import NoCrossover
 from .market import NewsType
+from .scenario import HarmPayoffParams
 
 
 @record
@@ -42,20 +43,6 @@ class CostSchedule:
 
     def disadvantage(self, kind: NewsType):
         return self.fake_disadvantage if kind is NewsType.FAKE else self.true_disadvantage
-
-
-@record
-class HarmPayoffParams:
-    """Repeated-game payoff knobs.
-
-    ``fake_base`` is the payoff of deceptive provision before any harm has
-    accrued, ``harm_penalty`` the payoff lost per unit of accumulated harm,
-    and ``truth_payoff`` the flat payoff of truthful provision.
-    """
-
-    fake_base: float = rule(default=5.0)
-    harm_penalty: float = rule(">", 0, default=2.0)
-    truth_payoff: float = rule(default=3.0)
 
 
 def provider_payoff(params: ProviderParams, kind: NewsType, costs: CostSchedule):

@@ -17,18 +17,19 @@ Format::
     rank.p1 = c1 > c2
     ...
 
-Sections are optional but at least one must be present. Each section's
-record declares its keys: the field names are the allowed keys, the field
-types pick the parser, the field defaults fill absent keys, and a field's
-``_record.rule`` is the key's range, checked as the record is built; every
-float key has one, so every number must be finite. The kernels take their defaults
-and rules from these fields. Unknown sections and keys fail, a present key needs
-a value, and numbers serialize with 12 significant digits: parse(serialize(s)) == s.
+Sections are optional but at least one must be present. Every keyed section's
+record is declared here and declares its keys: the field names are the allowed
+keys, the field types pick the parser, the field defaults fill absent keys, and a
+field's ``_record.rule`` is the key's range, checked as the record is built; every
+float key has one, so every number must be finite. The kernels import these records
+and take their defaults and rules from them. ``[matching]`` becomes a
+``matching.PreferenceProfile``, which checks the rankings. Unknown sections and keys
+fail, a present key needs a value, and numbers serialize with 12 significant digits:
+parse(serialize(s)) == s.
 """
 
 import math
 import os
-from importlib import import_module
 
 from ._record import MISSING, field, fields, record, rule
 from .errors import MalformedProfile, ParseError
@@ -51,6 +52,49 @@ def format_number(x) -> str:
 def _file(default=MISSING):
     """A key naming a file, relative to the scenario file, that must exist."""
     return field(default=default, metadata={"file": True})
+
+
+@record
+class MarketParams:
+    """Linear market coefficients.
+
+    Attributes:
+        supply_slope: quantity supplied per unit price (a > 0).
+        demand_intercept: quantity demanded at price zero (b, any finite value).
+        demand_slope: quantity demanded lost per unit price (c > 0).
+    """
+
+    supply_slope: float = rule(">", 0)
+    demand_intercept: float = rule()
+    demand_slope: float = rule(">", 0)
+
+    def supply(self, price):
+        return self.supply_slope * price
+
+    def demand(self, price):
+        return self.demand_intercept - self.demand_slope * price
+
+
+@record
+class MarketScenario:
+    """Linear market coefficients for both news types."""
+
+    fake: MarketParams
+    true: MarketParams
+
+
+@record
+class HarmPayoffParams:
+    """Repeated-game payoff knobs.
+
+    ``fake_base`` is the payoff of deceptive provision before any harm has
+    accrued, ``harm_penalty`` the payoff lost per unit of accumulated harm,
+    and ``truth_payoff`` the flat payoff of truthful provision.
+    """
+
+    fake_base: float = rule(default=5.0)
+    harm_penalty: float = rule(">", 0, default=2.0)
+    truth_payoff: float = rule(default=3.0)
 
 
 @record
@@ -87,8 +131,8 @@ class AnalysisSection:
     graph: str | None = _file(None)
     source: str | None = None
     target: str | None = None
-    changed_fake: "MarketParams | None" = None
-    changed_true: "MarketParams | None" = None
+    changed_fake: MarketParams | None = None
+    changed_true: MarketParams | None = None
 
     def __post_init__(self):
         strictly_increasing("reliability_grid", self.reliability_grid)
@@ -105,13 +149,17 @@ def strictly_increasing(name: str, values) -> None:
 class Scenario:
     name: str
     seed: int = rule(">=", 0, default=0)
-    market: "MarketScenario | None" = None
-    payoffs: "HarmPayoffParams | None" = None
+    market: MarketScenario | None = None
+    payoffs: HarmPayoffParams | None = None
     matching: "PreferenceProfile | None" = None
     game: GameSection | None = None
     voting: VotingSection | None = None
     dynamics: DynamicsSection | None = None
     analysis: AnalysisSection | None = None
+
+    def __post_init__(self):  # the CSV is <out>/<name>_<subcommand>.csv, so no path
+        if self.name in (".", "..") or os.path.basename(self.name) != self.name:
+            raise ValueError(f"name must be a file name, got {self.name!r}")
 
 
 _SECTIONS = (
@@ -128,9 +176,9 @@ _SECTIONS = (
 )
 
 # Field type -> (token parser, whether the value is a space-separated list).
-# Fields of any other type, such as a nested section, are not keys. Section
-# modules keep class annotations (no ``from __future__ import annotations``);
-# nested sections' types here are strings, so their modules load with the section.
+# Fields of any other type, such as a nested section, are not keys. Records
+# keep class annotations (no ``from __future__ import annotations``), so these
+# keys match the annotations themselves.
 _KINDS = {
     float: (float, False),
     int: (int, False),
@@ -215,27 +263,25 @@ def _matching_section(data: dict) -> "PreferenceProfile":
         raise ParseError(f"[matching] missing keys: {missing}")
     providers = tuple(data["providers"].split())
     consumers = tuple(data["consumers"].split())
-    unknown = set(data) - {"providers", "consumers"} - {f"rank.{a}" for a in providers + consumers}
-    if unknown:
-        raise ParseError(f"[matching] unknown keys: {sorted(unknown)}")
     # Each ranking entry becomes the declared id's own str object, so the
     # profile holds one str per id and set checks and lookups hit on identity.
-    declared = {a: a for a in providers + consumers}.get
-    ranks = {}
-    for agent in providers + consumers:
-        key = f"rank.{agent}"
-        if key not in data:
-            raise ParseError(f"[matching] missing ranking for {agent!r}")
-        ranking = [tok.strip() for tok in data[key].split(">")]
-        if "" in ranking:
-            raise ParseError(f"[matching] {key}: empty id in ranking")
-        ranks[agent] = tuple([declared(tok, tok) for tok in ranking])
+    declared = {a: a for a in providers + consumers}
+    unknown = set(data) - {"providers", "consumers", *(f"rank.{a}" for a in declared)}
+    if unknown:
+        raise ParseError(f"[matching] unknown keys: {sorted(unknown)}")
+    get, ranks = declared.get, {}
+    for agent in declared:
+        text = data.get(f"rank.{agent}")
+        if text is not None:
+            ranks[agent] = tuple([get(tok, tok) for tok in map(str.strip, text.split(">"))])
+            if "" in ranks[agent]:
+                raise ParseError(f"[matching] rank.{agent}: empty id in ranking")
     try:
         return PreferenceProfile(
             providers=providers,
             consumers=consumers,
-            provider_prefs={p: ranks[p] for p in providers},
-            consumer_prefs={c: ranks[c] for c in consumers},
+            provider_prefs={p: ranks[p] for p in providers if p in ranks},
+            consumer_prefs={c: ranks[c] for c in consumers if c in ranks},
         )
     except MalformedProfile as exc:
         raise ParseError(f"[matching] {exc}") from None
@@ -247,27 +293,23 @@ def parse_scenario(text: str) -> Scenario:
     if not sections:
         raise ParseError("scenario has no sections; at least one is required")
 
-    def part(cls, name, module=None):
-        """The section's object or None; a cls named in module is imported only if needed."""
-        if name not in sections:
-            return None
-        cls = getattr(import_module(f".{module}", __package__), cls) if module else cls
-        return _section(cls, name, sections[name])
+    def part(cls, name):  # the section's record, or None if the text has no such section
+        return _section(cls, name, sections[name]) if name in sections else None
 
-    fake, true = (part("MarketParams", f"market.{side}", "market") for side in ("fake", "true"))
+    fake, true = (part(MarketParams, f"market.{side}") for side in ("fake", "true"))
     if (fake is None) != (true is None):
         raise ParseError("sections [market.fake] and [market.true] come as a pair")
     analysis = None
     if any(name.startswith("analysis") for name in sections):
         analysis = _section(
             AnalysisSection, "analysis", sections.get("analysis", {}),
-            changed_fake=part("MarketParams", "analysis.changed.market.fake", "market"),
-            changed_true=part("MarketParams", "analysis.changed.market.true", "market"),
+            changed_fake=part(MarketParams, "analysis.changed.market.fake"),
+            changed_true=part(MarketParams, "analysis.changed.market.true"),
         )
     return _section(
         Scenario, "preamble", preamble,
-        market=fake and import_module(".market", __package__).MarketScenario(fake, true),
-        payoffs=part("HarmPayoffParams", "payoffs", "payoffs"),
+        market=fake and MarketScenario(fake, true),
+        payoffs=part(HarmPayoffParams, "payoffs"),
         matching=_matching_section(sections["matching"]) if "matching" in sections else None,
         game=part(GameSection, "game"),
         voting=part(VotingSection, "voting"),

@@ -113,10 +113,10 @@ def droop_quota(valid_votes, seats: int) -> int:
     ``floor(valid_votes / (seats + 1)) + 1``.
 
     Raises:
-        InvalidSeats: seats < 1.
+        InvalidSeats: seats is below 1 or nan.
         ValueError: valid_votes is negative, nan or infinite.
     """
-    if seats < 1:
+    if not seats >= 1:
         raise InvalidSeats(f"seats must be >= 1, got {seats}")
     if not (valid_votes >= 0 and math.isfinite(valid_votes)):
         raise ValueError(f"valid_votes must be finite and >= 0, got {valid_votes}")
@@ -323,11 +323,11 @@ def meek_count(
     weight.
 
     Raises:
-        InvalidSeats: seats < 1.
+        InvalidSeats: seats is below 1 or nan.
         UnknownCandidate: a ballot ranks an id not in ``candidates``.
         NonConvergence: keep-factor iteration missed tolerance at the cap.
     """
-    if seats < 1:
+    if not seats >= 1:
         raise InvalidSeats(f"seats must be >= 1, got {seats}")
     if not (tolerance >= 0 and math.isfinite(tolerance)):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")

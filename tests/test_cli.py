@@ -170,6 +170,35 @@ def edited_newsroom(scenario_dir, tmp_path, old, new):
     return path
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", ".", ".."])
+def test_scenario_name_that_is_not_a_file_name_writes_no_file(
+    name, scenario_dir, tmp_path, capsys
+):
+    path = edited_newsroom(scenario_dir, tmp_path, "name = newsroom", f"name = {name}")
+    out = tmp_path / "out"
+    assert run_cli("equilibrium", "--scenario", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error [scenario]: [preamble] name must be a file name, got {name!r}\n")
+    assert not out.exists() and not list(tmp_path.rglob("*.csv"))
+
+
+# Each run gets newsroom.scn without the line `removed` and a ballot file of comments only.
+@pytest.mark.parametrize("subcommand, removed, message", [
+    ("vote-fptp", "", "ballot file holds no rankings"),
+    ("path", "graph = newsroom_graph.txt\n",
+     "[analysis] needs graph, source and target for the path subcommand"),
+], ids=["comment-only-ballots", "path-without-graph"])
+def test_run_without_its_inputs_fails_cleanly(
+    subcommand, removed, message, scenario_dir, tmp_path, capsys
+):
+    path = edited_newsroom(scenario_dir, tmp_path, removed, "")
+    (tmp_path / "newsroom_ballots.txt").write_text("# no ballots yet\n\n")
+    out = tmp_path / "out"
+    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error [scenario]: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_game_audience_rejected(value, scenario_dir, tmp_path, capsys):
     path = edited_newsroom(scenario_dir, tmp_path, "audience = 100", f"audience = {value}")

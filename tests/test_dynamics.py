@@ -134,6 +134,12 @@ class TestIncrementProfile:
         assert not verdict.passed
         assert verdict.violation_at == 1
 
+    def test_falling_compounding_increments_fail(self):
+        # Negative scale turns the rising power increments into falling ones.
+        impostor = SimpleNamespace(family=CurveFamily.COMPOUNDING, scale=-1.0, exponent=2.0)
+        verdict = check_increment_profile(impostor, 50)
+        assert (verdict.passed, verdict.violation_at) == (False, 1)
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             check_increment_profile(diminishing_curve(), 1)

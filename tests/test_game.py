@@ -158,6 +158,12 @@ def test_non_positive_or_non_finite_audience_rejected(quota_fn, audience):
         quota_fn(state, 0, audience, 2)
 
 
+def test_stage_game_needs_all_four_cells():
+    three = dict(list(PD.payoffs.items())[:3])
+    with pytest.raises(ValueError, match=r"^stage game needs payoffs for all four action pairs$"):
+        StageGame(three)
+
+
 def test_nash_prisoners_dilemma():
     assert nash_equilibria(PD) == [(Action.FAKE, Action.FAKE)]
 

@@ -4,6 +4,7 @@ import pytest
 
 from infomarket.errors import InfeasibleEquilibrium, NonMonotone, NoRoot
 from infomarket.market import (
+    Equilibrium,
     MarketParams,
     Stability,
     equilibrium_closed_form,
@@ -41,6 +42,11 @@ class TestClosedForm:
     def test_slope_validation(self, a, c):
         with pytest.raises(ValueError):
             MarketParams(a, 5, c)
+
+
+    def test_negative_equilibrium_rejected(self):
+        with pytest.raises(ValueError, match=r"^equilibrium must be nonnegative, got "):
+            Equilibrium(-1, 0)
 
 
 class TestNumeric:
@@ -81,6 +87,10 @@ class TestNumeric:
                 lambda p: a * p, lambda p: b - c * p, (0.0, b / c)
             )
             assert abs(closed.price - numeric.price) <= 1e-9
+
+    def test_root_at_the_upper_end(self):
+        eq = equilibrium_numeric(lambda p: p, lambda p: 10 - p, (0.0, 5.0))
+        assert (eq.price, eq.quantity) == (5.0, 5.0)
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,18 @@ def test_is_stable_rejects_malformed_matching():
         is_stable(Matching(pairs={("p1", "zz")}), profile)
 
 
+def test_is_stable_rejects_a_matching_that_reuses_an_id():
+    profile = balanced_profile([("p1", ["c1", "c2"])], [("c1", ["p1"]), ("c2", ["p1"])])
+    with pytest.raises(ValueError, match=r"reuses an already matched id$"):
+        is_stable(Matching(pairs={("p1", "c1"), ("p1", "c2")}), profile)
+
+
+def test_gale_shapley_rejects_an_unknown_proposing_side():
+    profile = balanced_profile([("p1", ["c1"])], [("c1", ["p1"])])
+    with pytest.raises(ValueError, match=r"^proposing must be 'providers' or 'consumers'$"):
+        gale_shapley(profile, proposing="x")
+
+
 def test_proposer_optimality_against_stable_set():
     # Every proposer must weakly prefer the proposer-side run over any other
     # stable matching (checked against exhaustive enumeration).

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,9 @@ from infomarket.dynamics import (
     compounding_curve,
     diminishing_curve,
 )
-from infomarket.errors import ParseError
+from infomarket.errors import MalformedProfile, ParseError
 from infomarket.game import AcceptanceRule, run_tournament
+from infomarket.matching import PreferenceProfile
 from infomarket.scenario import (
     AnalysisSection,
     DynamicsSection,
@@ -129,6 +131,15 @@ def test_name_required():
         parse_scenario("[payoffs]\nfake_base = 4\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name = x\n= 5\n[payoffs]\n", "line 2: empty key in preamble"),
+    ("name = x\n[payoffs]\n = 5\n", "line 3: empty key in [payoffs]"),
+])
+def test_empty_key_rejected(text, message):
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+        parse_scenario(text)
+
+
 def test_at_least_one_section():
     with pytest.raises(ParseError):
         parse_scenario("name = empty\nseed = 1\n")
@@ -187,6 +198,68 @@ def test_rankings_hold_the_declared_id_objects():
     assert len(rankings) == 4
     for ranking in rankings:
         assert all(tok is declared[tok] for tok in ranking)
+
+
+IDS = ("a", "b", "c", "d")
+SEPARATORS = (">", " > ", "  >", ">\t", " >  ")
+rarely = st.integers(0, 9).map(lambda x: x == 0)
+
+
+@st.composite
+def matching_sections(draw):
+    """Scenario text with one [matching] section, the sides it declares, the stripped
+    token list of each ranking it holds, and whether the text itself is at fault: a
+    missing side key, a key that is not a side or a declared id's ranking, or an empty id."""
+    agents = draw(st.permutations(IDS))
+    cut = draw(st.integers(0, len(IDS)))
+    providers, consumers = list(agents[:cut]), list(agents[cut:])
+    if draw(rarely):  # a repeated or a shared id
+        (providers if draw(st.booleans()) else consumers).append(draw(st.sampled_from(IDS)))
+    lines, ranks = {}, {}
+    for key, side in (("providers", providers), ("consumers", consumers)):
+        if not draw(rarely):
+            lines[key] = " ".join(side)
+    for agent in dict.fromkeys(providers + consumers):
+        if draw(rarely):  # a dropped ranking
+            continue
+        other = consumers if agent in providers else providers
+        tokens = list(draw(st.permutations(list(dict.fromkeys(other)))))
+        if draw(rarely) and tokens:
+            tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+        if draw(rarely):  # a repeated, foreign or empty id
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from([*IDS, "z", ""])))
+        tokens = tokens or [""]  # an empty value is one empty id
+        seps = draw(st.lists(st.sampled_from(SEPARATORS),
+                             min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+        lines[f"rank.{agent}"] = tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:]))
+        ranks[agent] = tuple(tokens)
+    stray = draw(st.sampled_from([None, None, None, "rank.z", "rank.", "note"]))
+    if stray:
+        lines[stray] = "a > b"
+    body = draw(st.permutations([f"{k} = {v}" for k, v in lines.items()]))
+    fault = (stray is not None or not {"providers", "consumers"} <= set(lines)
+             or any("" in ranking for ranking in ranks.values()))
+    return "name = x\n[matching]\n" + "\n".join(body) + "\n", providers, consumers, ranks, fault
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_sections())
+def test_matching_parse_agrees_with_a_profile_built_directly(section):
+    text, providers, consumers, ranks, fault = section
+    try:
+        expected = PreferenceProfile(
+            providers=tuple(providers),
+            consumers=tuple(consumers),
+            provider_prefs={p: ranks[p] for p in providers if p in ranks},
+            consumer_prefs={c: ranks[c] for c in consumers if c in ranks},
+        )
+    except MalformedProfile:
+        expected = None
+    if fault or expected is None:
+        with pytest.raises(ParseError, match=r"^\[matching\] "):
+            parse_scenario(text)
+    else:
+        assert parse_scenario(text).matching == expected
 
 
 def test_bad_number_rejected():

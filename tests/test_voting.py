@@ -12,6 +12,7 @@ from oracles import (
     meek_count_per_ballot,
     meek_count_stop_at_fill,
 )
+from infomarket.dynamics import check_increment_profile, diminishing_curve
 from infomarket.errors import (
     EmptyInput,
     InvalidSeats,
@@ -31,6 +32,8 @@ from infomarket.voting import (
     _fold,
     _PathTally,
 )
+from infomarket.game import always_true, play_iterated, rounds_to_quota
+from infomarket.market import MarketParams, stability_cobweb
 
 HAND_BALLOTS = [
     Ballot(("A", "B"), 10.0),
@@ -79,6 +82,10 @@ class TestFptp:
         with pytest.raises(ValueError):
             fptp_winner([3, -1])
 
+    def test_unknown_first_choice_rejected(self):
+        with pytest.raises(UnknownCandidate, match=r"^ballot ranks unknown candidate 'C'$"):
+            first_preference_totals(HAND_BALLOTS, ["A", "B"])
+
 
 class TestDroopQuota:
     def test_documented_values(self):
@@ -100,6 +107,29 @@ class TestDroopQuota:
     def test_non_finite_votes(self, votes):
         with pytest.raises(ValueError, match=rf"^valid_votes must be finite and >= 0, got {votes}$"):
             droop_quota(votes, 1)
+
+
+# Each integer-argument guard refuses nan with its own error, not a conversion's.
+NAN_GUARDS = {
+    "droop_quota": (lambda: droop_quota(100, math.nan), InvalidSeats, "seats must be >= 1"),
+    "rounds_to_quota": (lambda: rounds_to_quota(play_iterated((always_true(),) * 2), 0, 100,
+                                                math.nan), InvalidSeats, "seats must be >= 1"),
+    "meek_count": (lambda: meek_count(HAND_BALLOTS, ["A", "B", "C"], math.nan), InvalidSeats,
+                   "seats must be >= 1"),
+    "play_iterated": (lambda: play_iterated((always_true(),) * 2, rounds=math.nan), ValueError,
+                      "rounds must be >= 1"),
+    "check_increment_profile": (lambda: check_increment_profile(diminishing_curve(), math.nan),
+                                ValueError, "n must be >= 2"),
+    "stability_cobweb": (lambda: stability_cobweb(MarketParams(1, 10, 2), 1.0, math.nan),
+                         ValueError, "steps must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", NAN_GUARDS.values(), ids=NAN_GUARDS)
+def test_integer_argument_guards_refuse_nan(call, error, message):
+    with pytest.raises(error, match=rf"^{message}, got nan$") as exc:
+        call()
+    assert exc.type is error
 
 
 class TestMeek:
@@ -237,6 +267,14 @@ class TestMeek:
     def test_invalid_seats(self):
         with pytest.raises(InvalidSeats):
             meek_count([Ballot(("A",), 1.0)], ["A"], seats=0)
+
+    @pytest.mark.parametrize("candidates, tolerance, message", [
+        (["A", "B", "C"], -1, r"^tolerance must be finite and >= 0, got -1$"),
+        (["A", "B", "A", "C"], 1e-9, r"^duplicate candidate ids$"),
+    ], ids=["negative-tolerance", "duplicate-candidates"])
+    def test_bad_arguments_rejected(self, candidates, tolerance, message):
+        with pytest.raises(ValueError, match=message):
+            meek_count(HAND_BALLOTS, candidates, seats=2, tolerance=tolerance)
 
     def test_duplicate_ranking_rejected(self):
         with pytest.raises(ValueError):
