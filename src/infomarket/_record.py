@@ -5,7 +5,9 @@ Fields are the class's own annotations, in order, with a class attribute,
 reused, since each record takes its own copy. A ``rule`` field is checked as the record is
 built, in field order and before ``__post_init__``: its value, or each item of a tuple or
 list, must pass each ``value <op> bound`` (and be finite if ``float`` or ``tuple[float, ...]``),
-else ``ValueError("<field> must be [finite and ]<op> <bound>..., got <value!r>")``.
+else ``ValueError("<field> must be [finite and ]<op> <bound>..., got <value!r>")``. That
+message comes from ``require``, which the kernels also call on their function arguments, each
+with its own error type, and which can also demand an ``int``.
 Methods are closures, not generated source: a run imports no ``dataclasses`` or ``inspect``.
 """
 
@@ -38,6 +40,21 @@ def rule(*rules, default=MISSING):
     return Field(default, {"rules": tuple(zip(rules[::2], rules[1::2]))})
 
 
+def require(name, value, *rules, finite=False, integer=False, error=ValueError):
+    """Raise ``error`` unless value passes each ``value <op> bound`` (rules alternate op,
+    bound) and is finite if ``finite``; then, if ``integer``, unless it is a non-bool ``int``."""
+    rules = tuple(zip(rules[::2], rules[1::2]))
+    try:
+        ok = all(_TESTS[op](value, b) for op, b in rules) and (not finite or isfinite(value))
+    except TypeError:  # a value that no bound compares with, such as a str or None
+        ok = False
+    if not ok:
+        need = " and ".join(["finite"] * finite + [f"{op} {bound}" for op, bound in rules])
+        raise error(f"{name} must be {need}, got {value!r}")
+    if integer and (not isinstance(value, int) or isinstance(value, bool)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def fields(record_or_instance) -> tuple:
     """The fields of a record class or instance, in declaration order."""
     return record_or_instance.__record_fields__
@@ -52,16 +69,15 @@ def _checker(f):
     if "rules" not in f.metadata:
         return None
     get, rules, finite = attrgetter(f.name), f.metadata["rules"], f.type in _FINITE
-    need = " and ".join(["finite"] * finite + [f"{op} {bound}" for op, bound in rules])
-    got = f"{f.name} must be {need}, got "
     tests = [(_TESTS[op], bound) for op, bound in rules]
+    flat = [x for op_bound in rules for x in op_bound]  # require's form of the rules
     each = getattr(f.type, "__origin__", None) in (tuple, list)
 
     def check(self):
         value = get(self)
         for item in value if each else (value,):
             if not ((not finite or isfinite(item)) and all(t(item, b) for t, b in tests)):
-                raise ValueError(got + repr(item))
+                require(f.name, item, *flat, finite=finite)
 
     if f.type is not float or len(tests) != 1:
         return check
@@ -70,7 +86,7 @@ def _checker(f):
     def check_one(self):  # a float with one rule, the common case, without the loops
         value = get(self)
         if not (test(value, bound) and isfinite(value)):
-            raise ValueError(got + repr(value))
+            require(f.name, value, *flat, finite=True)
     return check_one
 
 

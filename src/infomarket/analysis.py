@@ -12,7 +12,7 @@ import heapq
 import math
 from typing import Iterable, Sequence
 
-from ._record import field, record
+from ._record import field, record, require
 from .errors import (
     InfeasibleEquilibrium,
     NoMarket,
@@ -163,9 +163,7 @@ class SpreadGraph:
             if i is None or j is None:
                 raise ValueError(f"edge ({src!r}, {dst!r}) uses undeclared nodes")
             if not 0 <= cost < math.inf:  # also false for nan
-                raise ValueError(
-                    f"cost on edge ({src!r}, {dst!r}) must be finite and >= 0, got {cost}"
-                )
+                require(f"cost on edge ({src!r}, {dst!r})", cost, ">=", 0, finite=True)
             adjacency[i].append((j, cost))
         # (names, number, adjacency) for min_cost_spread_path; an attribute, not a
         # field, so repr, == and hash leave it out

@@ -78,7 +78,7 @@ def _load_ballots(scenario, scenario_path):
     from . import voting
     section = _require_section(scenario, "voting", "voting")
     ballots = voting.load_ballot_file(resolve_path(scenario_path, section.ballots))
-    candidates = sorted({c for b in voting.distinct_ballots(ballots) for c in b.ranking})
+    candidates = sorted({c for b in ballots for c in b.ranking})
     if not candidates:
         raise ParseError("ballot file holds no rankings")
     return section, ballots, candidates

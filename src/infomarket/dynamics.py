@@ -11,7 +11,7 @@ import math
 from enum import Enum
 from typing import Iterator
 
-from ._record import field, record
+from ._record import field, record, require
 from .scenario import DynamicsSection, _keys
 
 
@@ -25,8 +25,8 @@ class RetentionParams:
 
 def retention(params: RetentionParams, t) -> float:
     """Fraction of information still held after time t: initial * exp(-decay*t)."""
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not t >= 0:  # tested inline: a dynamics run calls this once per row
+        require("t", t, ">=", 0)
     return params.initial * math.exp(-params.decay * t)
 
 
@@ -69,10 +69,8 @@ def increments(curve: UtilityCurve) -> Iterator:
 
 def utility(curve: UtilityCurve, k: int):
     """Utility of holding k pieces; zero at k = 0."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    if not (type(k) is int and k >= 0):  # tested inline, as in retention
+        require("k", k, ">=", 0, integer=True)
     if curve.family is CurveFamily.COMPOUNDING:
         return curve.scale * k**curve.exponent
     total = 0
@@ -99,8 +97,7 @@ def check_increment_profile(curve: UtilityCurve, n: int) -> IncrementVerdict:
     curves nondecreasing ones. On failure the verdict carries the first k at
     which the comparison breaks.
     """
-    if not n >= 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    require("n", n, ">=", 2, integer=True)
     gen = increments(curve)
     prev = next(gen)
     for k in range(1, n):

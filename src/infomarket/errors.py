@@ -55,7 +55,7 @@ class EmptyInput(InfoMarketError):
 
 
 class InvalidSeats(InfoMarketError):
-    """Seat count below one."""
+    """Seat count below one or not an integer."""
 
     module = "voting"
 

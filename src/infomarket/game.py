@@ -8,11 +8,10 @@ rules marks the point where a player's output counts as common knowledge.
 Stage games can be scanned exhaustively for pure equilibria.
 """
 
-import math
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
-from ._record import record
+from ._record import record, require
 from .errors import EmptyInput
 from .market import NewsType
 from .payoffs import HarmPayoffParams, harm_payoff
@@ -133,10 +132,8 @@ def play_iterated(
     rises by one per deceptive action of their own, under ``"any"`` by the
     total number of deceptive actions played in the round (by either player).
     """
-    if not rounds >= 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if harm_rule not in (HARM_PER_OWN_FAKE, HARM_PER_ANY_FAKE):
-        raise ValueError(f"harm_rule must be 'own' or 'any', got {harm_rule!r}")
+    require("rounds", rounds, ">=", 1, integer=True)
+    require("harm_rule", harm_rule, "in", (HARM_PER_OWN_FAKE, HARM_PER_ANY_FAKE))
     own = harm_rule == HARM_PER_OWN_FAKE
     histories: tuple[list[Action], list[Action]] = ([], [])
     harm = [0, 0]
@@ -172,8 +169,7 @@ def play_iterated(
 
 def _audience_quota(total_audience: float, seats: int) -> int:
     """The Droop quota of a finite, positive audience."""
-    if not (math.isfinite(total_audience) and total_audience > 0):
-        raise ValueError(f"total_audience must be finite and > 0, got {total_audience}")
+    require("total_audience", total_audience, ">", 0, finite=True)
     return droop_quota(total_audience, seats)
 
 

@@ -10,7 +10,7 @@ clearing point attracts or repels out-of-equilibrium prices.
 from enum import Enum
 from typing import Callable
 
-from ._record import record
+from ._record import record, require
 from .errors import InfeasibleEquilibrium, NonMonotone, NoRoot
 from .scenario import MarketParams, MarketScenario
 
@@ -156,8 +156,7 @@ def stability_cobweb(params: MarketParams, p0: float, steps: int) -> StabilityRe
     period two. ``iterates`` holds the trace after each of the ``steps``
     applications (the starting price is not included).
     """
-    if not steps >= 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    require("steps", steps, ">=", 1, integer=True)
     a, b, c = params.supply_slope, params.demand_intercept, params.demand_slope
     ratio = a / c
     if ratio < 1:

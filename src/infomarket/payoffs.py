@@ -7,7 +7,7 @@ payoff stays flat, so the two cross at a computable harm level. All functions
 use plain arithmetic and accept exact number types (e.g. Fraction) unchanged.
 """
 
-from ._record import record, rule
+from ._record import record, require, rule
 from .errors import NoCrossover
 from .market import NewsType
 from .scenario import HarmPayoffParams
@@ -61,8 +61,8 @@ def harm_payoff(params: HarmPayoffParams, action: NewsType, harm):
     Deceptive provision pays ``fake_base - harm_penalty * harm``; truthful
     provision pays ``truth_payoff`` regardless of harm.
     """
-    if not harm >= 0:
-        raise ValueError(f"harm must be >= 0, got {harm}")
+    if not harm >= 0:  # tested inline: a game calls this once per round per player
+        require("harm", harm, ">=", 0)
     if action is NewsType.FAKE:
         return params.fake_base - params.harm_penalty * harm
     return params.truth_payoff
@@ -92,9 +92,7 @@ def compensation(provider_coeff, consumer_coeff, quality, kind: NewsType):
     the quality of the news type supplied. ``kind`` labels which market's
     quality figure is being passed in; it does not change the arithmetic.
     """
-    for name, v in (("provider_coeff", provider_coeff),
-                    ("consumer_coeff", consumer_coeff),
-                    ("quality", quality)):
-        if not v >= 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
+    require("provider_coeff", provider_coeff, ">=", 0)
+    require("consumer_coeff", consumer_coeff, ">=", 0)
+    require("quality", quality, ">=", 0)
     return provider_coeff * consumer_coeff * quality

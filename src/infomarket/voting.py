@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._record import record, rule
+from ._record import record, require, rule
 from .errors import (
     EmptyInput,
     InvalidSeats,
@@ -113,21 +113,12 @@ def droop_quota(valid_votes, seats: int) -> int:
     ``floor(valid_votes / (seats + 1)) + 1``.
 
     Raises:
-        InvalidSeats: seats is below 1 or nan.
+        InvalidSeats: seats is below 1, nan or not an integer.
         ValueError: valid_votes is negative, nan or infinite.
     """
-    if not seats >= 1:
-        raise InvalidSeats(f"seats must be >= 1, got {seats}")
-    if not (valid_votes >= 0 and math.isfinite(valid_votes)):
-        raise ValueError(f"valid_votes must be finite and >= 0, got {valid_votes}")
+    require("seats", seats, ">=", 1, integer=True, error=InvalidSeats)
+    require("valid_votes", valid_votes, ">=", 0, finite=True)
     return math.floor(valid_votes / (seats + 1)) + 1
-
-
-def distinct_ballots(ballots: Iterable[Ballot]) -> list[Ballot]:
-    """The distinct ``Ballot`` objects, first seen first: ``parse_ballots``
-    shares one object per repeated line, so this is one per distinct line."""
-    ballots = list(ballots)
-    return list(dict(zip(map(id, ballots), ballots)).values())
 
 
 def _gather(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
@@ -185,7 +176,9 @@ class _PathTally:
 
     def __init__(self, ballots: Sequence[Ballot], ids: Sequence[str]):
         position = {c: i for i, c in enumerate(ids)}
-        kinds = distinct_ballots(ballots)
+        # Sharing one object per repeated line (as parse_ballots does) only makes kinds fewer:
+        # equal ballots that are separate objects are separate kinds, with the same bits.
+        kinds = list({id(b): b for b in ballots}.values())
         try:
             self._rankings = [list(map(position.__getitem__, b.ranking)) for b in kinds]
         except KeyError as exc:
@@ -323,14 +316,12 @@ def meek_count(
     weight.
 
     Raises:
-        InvalidSeats: seats is below 1 or nan.
+        InvalidSeats: seats is below 1, nan or not an integer.
         UnknownCandidate: a ballot ranks an id not in ``candidates``.
         NonConvergence: keep-factor iteration missed tolerance at the cap.
     """
-    if not seats >= 1:
-        raise InvalidSeats(f"seats must be >= 1, got {seats}")
-    if not (tolerance >= 0 and math.isfinite(tolerance)):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    require("seats", seats, ">=", 1, integer=True, error=InvalidSeats)
+    require("tolerance", tolerance, ">=", 0, finite=True)
     ids = sorted(candidates)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate candidate ids")
@@ -407,13 +398,12 @@ def first_preference_totals(
     ballots: Sequence[Ballot], candidates: Sequence[str]
 ) -> dict[str, float]:
     """Summed ballot weight by first-ranked candidate (for plurality tallies)."""
-    known = set(candidates)
     totals = {c: 0.0 for c in sorted(candidates)}
     for ballot in ballots:
         if not ballot.ranking:
             continue
         first = ballot.ranking[0]
-        if first not in known:
+        if first not in totals:
             raise UnknownCandidate(f"ballot ranks unknown candidate {first!r}")
         totals[first] += ballot.weight
     return totals

@@ -440,6 +440,22 @@ def test_package_import_loads_no_dataclasses_or_inspect():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_package_attribute_loads_its_submodule_alone():
+    # The package's __getattr__ imports a submodule the first time it is looked up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, infomarket; before = 'infomarket.voting' in sys.modules; "
+            "module = infomarket.voting; "
+            "print(before, module is sys.modules['infomarket.voting'], *sys.modules)")
+    before, same, *loaded = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    kernels = {f"infomarket.{name}" for name in
+               ("analysis", "dynamics", "game", "market", "matching", "payoffs")}
+    assert (before, same) == ("False", "True")
+    assert "infomarket.voting" in loaded and not set(loaded) & kernels
+
+
 def test_no_source_line_is_longer_than_100_characters():
     src = Path(__file__).resolve().parent.parent / "src" / "infomarket"
     long = [f"{path.name}:{number}" for path in sorted(src.glob("*.py"))

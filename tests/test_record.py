@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infomarket import _record
+from infomarket.errors import InvalidSeats
 
 # dataclasses on 3.13.0 alone compared fields one by one, so a nan field was
 # unequal even to the same nan object there. Every other version compares the
@@ -198,6 +199,39 @@ def test_rules_raise_exactly_when_the_predicate_fails(spec, post_init_fails, dat
         assert tuple(getattr(cls(*values), name) for name, _, _ in spec) == values
     else:
         assert by_position == f"ValueError: {error}"
+
+
+def expected_refusal(value, rules, finite, integer):
+    """The text ``require`` must raise for value, or None when it passes."""
+    if (finite and (value != value or abs(value) == math.inf)) or not all(
+            COMPARE[op](value, bound) for op, bound in rules):
+        words = ["finite"] * finite + [f"{op} {bound}" for op, bound in rules]
+        return f"x must be {' and '.join(words)}, got {value!r}"
+    if integer and type(value) is not int:
+        return f"x must be an integer, got {value!r}"
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([0, 1, -1, 0.5, -0.0, math.nan, math.inf, -math.inf, True, False]) | numbers,
+       st.lists(st.tuples(st.sampled_from([">=", ">", "<="]), bounds), min_size=1, max_size=2),
+       st.booleans(), st.booleans(), st.sampled_from([ValueError, InvalidSeats]))
+def test_require_raises_exactly_when_the_predicate_fails(value, rules, finite, integer, error):
+    expected = expected_refusal(value, rules, finite, integer)
+    try:
+        _record.require("x", value, *[x for r in rules for x in r], finite=finite,
+                        integer=integer, error=error)
+    except Exception as exc:  # the type is checked below, with the text
+        assert (type(exc), str(exc)) == (error, expected)
+    else:
+        assert expected is None
+
+
+@pytest.mark.parametrize("value", ["3", None])
+def test_require_refuses_a_value_no_bound_compares_with(value):
+    from infomarket.dynamics import diminishing_curve, utility
+    with pytest.raises(ValueError, match=rf"^k must be >= 0, got {value!r}$"):
+        utility(diminishing_curve(), value)
 
 
 def test_rules_are_checked_before_post_init():

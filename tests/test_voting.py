@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -32,7 +33,7 @@ from infomarket.voting import (
     _fold,
     _PathTally,
 )
-from infomarket.game import always_true, play_iterated, rounds_to_quota
+from infomarket.game import always_true, play_iterated, rounds_to_quota, run_tournament
 from infomarket.market import MarketParams, stability_cobweb
 
 HAND_BALLOTS = [
@@ -132,6 +133,33 @@ def test_integer_argument_guards_refuse_nan(call, error, message):
     assert exc.type is error
 
 
+# A value in range that is not an int (a float, inf or a bool) is refused too, with its own error.
+NON_INTEGER_GUARDS = {
+    "droop_quota-float": (lambda: droop_quota(100, 2.5), InvalidSeats, "seats", 2.5),
+    "droop_quota-inf": (lambda: droop_quota(100, math.inf), InvalidSeats, "seats", math.inf),
+    "droop_quota-bool": (lambda: droop_quota(100, True), InvalidSeats, "seats", True),
+    "meek_count": (lambda: meek_count(HAND_BALLOTS, ["A", "B", "C"], seats=1.5), InvalidSeats,
+                   "seats", 1.5),
+    "play_iterated": (lambda: play_iterated((always_true(),) * 2, rounds=2.5), ValueError,
+                      "rounds", 2.5),
+    "run_tournament": (lambda: run_tournament([always_true()], seats=2.5), InvalidSeats,
+                       "seats", 2.5),
+    "check_increment_profile": (lambda: check_increment_profile(diminishing_curve(), 2.5),
+                                ValueError, "n", 2.5),
+    "stability_cobweb": (lambda: stability_cobweb(MarketParams(1, 10, 2), 1.0, 2.5),
+                         ValueError, "steps", 2.5),
+}
+
+
+@pytest.mark.parametrize("call, error, name, value", NON_INTEGER_GUARDS.values(),
+                         ids=NON_INTEGER_GUARDS)
+def test_integer_argument_guards_refuse_non_integers(call, error, name, value):
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert exc.type is error
+
+
 class TestMeek:
     def test_single_candidate(self):
         result = meek_count([Ballot(("A",), 3.0)], ["A"], seats=1)
@@ -156,6 +184,15 @@ class TestMeek:
             e for rnd in result.rounds for e in rnd.events if e.kind is EventKind.EXCLUDED
         ]
         assert [(e.candidate, e.tied) for e in exclusions] == [("A", True)]
+
+    def test_tie_flagged_only_on_a_tied_exclusion(self):
+        tied = [Ballot(("A",), 3.0), Ballot(("B",), 3.0), Ballot(("C",), 3.0)]
+        assert meek_count(tied, ["A", "B", "C"], seats=2).tie_flagged
+        untied = [Ballot((c,), w) for c, w in zip("ABCD", (4.0, 3.0, 2.0, 1.0))]
+        result = meek_count(untied, list("ABCD"), seats=1)
+        excluded = [e.candidate for r in result.rounds for e in r.events
+                    if e.kind is EventKind.EXCLUDED]
+        assert excluded == ["D", "C"] and not result.tie_flagged
 
     def test_total_weight_is_a_left_fold(self):
         # Ten 0.1 weights fold to 0.9999999999999999; a compensated sum gives 1.0.
