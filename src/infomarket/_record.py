@@ -46,7 +46,7 @@ def require(name, value, *rules, finite=False, integer=False, error=ValueError):
     rules = tuple(zip(rules[::2], rules[1::2]))
     try:
         ok = all(_TESTS[op](value, b) for op, b in rules) and (not finite or isfinite(value))
-    except TypeError:  # a value that no bound compares with, such as a str or None
+    except (TypeError, OverflowError):  # a str or None, say, or an int too large for isfinite
         ok = False
     if not ok:
         need = " and ".join(["finite"] * finite + [f"{op} {bound}" for op, bound in rules])
@@ -76,7 +76,10 @@ def _checker(f):
     def check(self):
         value = get(self)
         for item in value if each else (value,):
-            if not ((not finite or isfinite(item)) and all(t(item, b) for t, b in tests)):
+            try:
+                if not ((not finite or isfinite(item)) and all(t(item, b) for t, b in tests)):
+                    require(f.name, item, *flat, finite=finite)
+            except (TypeError, OverflowError):  # a test that cannot be made: require says why
                 require(f.name, item, *flat, finite=finite)
 
     if f.type is not float or len(tests) != 1:
@@ -85,7 +88,10 @@ def _checker(f):
 
     def check_one(self):  # a float with one rule, the common case, without the loops
         value = get(self)
-        if not (test(value, bound) and isfinite(value)):
+        try:
+            if not (test(value, bound) and isfinite(value)):
+                require(f.name, value, *flat, finite=True)
+        except (TypeError, OverflowError):  # a test that cannot be made: require says why
             require(f.name, value, *flat, finite=True)
     return check_one
 

@@ -25,7 +25,10 @@ class RetentionParams:
 
 def retention(params: RetentionParams, t) -> float:
     """Fraction of information still held after time t: initial * exp(-decay*t)."""
-    if not t >= 0:  # tested inline: a dynamics run calls this once per row
+    try:  # tested inline: a dynamics run calls this once per row
+        if not t >= 0:
+            require("t", t, ">=", 0)
+    except TypeError:  # a t that no number compares with
         require("t", t, ">=", 0)
     return params.initial * math.exp(-params.decay * t)
 

@@ -162,18 +162,18 @@ class Scenario:
             raise ValueError(f"name must be a file name, got {self.name!r}")
 
 
-_SECTIONS = (
-    "market.fake",
-    "market.true",
-    "payoffs",
-    "matching",
-    "game",
-    "voting",
-    "dynamics",
-    "analysis",
-    "analysis.changed.market.fake",
-    "analysis.changed.market.true",
-)
+_SECTIONS = {  # section name -> the record it builds, in canonical order
+    "market.fake": MarketParams,
+    "market.true": MarketParams,
+    "payoffs": HarmPayoffParams,
+    "matching": None,  # a matching.PreferenceProfile, built by _matching_section
+    "game": GameSection,
+    "voting": VotingSection,
+    "dynamics": DynamicsSection,
+    "analysis": AnalysisSection,
+    "analysis.changed.market.fake": MarketParams,
+    "analysis.changed.market.true": MarketParams,
+}
 
 # Field type -> (token parser, whether the value is a space-separated list).
 # Fields of any other type, such as a nested section, are not keys. Records
@@ -293,27 +293,27 @@ def parse_scenario(text: str) -> Scenario:
     if not sections:
         raise ParseError("scenario has no sections; at least one is required")
 
-    def part(cls, name):  # the section's record, or None if the text has no such section
-        return _section(cls, name, sections[name]) if name in sections else None
+    def part(name):  # the section's record, or None if the text has no such section
+        return _section(_SECTIONS[name], name, sections[name]) if name in sections else None
 
-    fake, true = (part(MarketParams, f"market.{side}") for side in ("fake", "true"))
+    fake, true = (part(f"market.{side}") for side in ("fake", "true"))
     if (fake is None) != (true is None):
         raise ParseError("sections [market.fake] and [market.true] come as a pair")
     analysis = None
     if any(name.startswith("analysis") for name in sections):
         analysis = _section(
             AnalysisSection, "analysis", sections.get("analysis", {}),
-            changed_fake=part(MarketParams, "analysis.changed.market.fake"),
-            changed_true=part(MarketParams, "analysis.changed.market.true"),
+            changed_fake=part("analysis.changed.market.fake"),
+            changed_true=part("analysis.changed.market.true"),
         )
     return _section(
         Scenario, "preamble", preamble,
         market=fake and MarketScenario(fake, true),
-        payoffs=part(HarmPayoffParams, "payoffs"),
+        payoffs=part("payoffs"),
         matching=_matching_section(sections["matching"]) if "matching" in sections else None,
-        game=part(GameSection, "game"),
-        voting=part(VotingSection, "voting"),
-        dynamics=part(DynamicsSection, "dynamics"),
+        game=part("game"),
+        voting=part("voting"),
+        dynamics=part("dynamics"),
         analysis=analysis,
     )
 

@@ -100,8 +100,11 @@ def fptp_winner(votes) -> FptpResult:
     if not items:
         raise EmptyInput("no candidates to tally")
     for cand, count in items:
-        if not count >= 0:
-            raise ValueError(f"negative vote count for {cand!r}")
+        try:
+            if not count >= 0:
+                raise ValueError(f"negative vote count for {cand!r}")
+        except TypeError:  # a count that no number compares with
+            raise ValueError(f"negative vote count for {cand!r}") from None
     best = max(count for _, count in items)
     leaders = sorted(cand for cand, count in items if count == best)
     return FptpResult(winner=leaders[0], tied=len(leaders) > 1)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from infomarket.analysis import graph_from_edges
 from infomarket.dynamics import RetentionParams, retention
 from infomarket.errors import NoCrossover
-from infomarket.market import NewsType
+from infomarket.market import MarketParams, NewsType
 from infomarket.payoffs import (
     ConsumerParams,
     CostSchedule,
@@ -17,7 +18,8 @@ from infomarket.payoffs import (
     harm_payoff,
     provider_payoff,
 )
-from infomarket.voting import fptp_winner
+from infomarket.scenario import DynamicsSection
+from infomarket.voting import Ballot, droop_quota, fptp_winner
 
 
 def test_provider_payoff_examples():
@@ -123,7 +125,21 @@ def test_bases_must_be_finite():
     (lambda: harm_payoff(HarmPayoffParams(), NewsType.FAKE, math.nan),
      "harm must be >= 0, got nan"),
     (lambda: retention(RetentionParams(), math.nan), "t must be >= 0, got nan"),
-], ids=["fptp-first", "fptp-last", "provider_coeff", "consumer_coeff", "quality", "harm", "t"])
+    # Values that no number compares with, and ints past the float range, end in the
+    # same messages, not in Python's own TypeError or OverflowError text.
+    (lambda: fptp_winner({"a": "x"}), "negative vote count for 'a'"),
+    (lambda: harm_payoff(HarmPayoffParams(), NewsType.FAKE, "x"), "harm must be >= 0, got 'x'"),
+    (lambda: retention(RetentionParams(), "x"), "t must be >= 0, got 'x'"),
+    (lambda: graph_from_edges([("a", "b", "x")]),
+     r"cost on edge \('a', 'b'\) must be finite and >= 0, got 'x'"),
+    (lambda: MarketParams("x", 1, 1), "supply_slope must be finite and > 0, got 'x'"),
+    (lambda: Ballot(("a",), "x"), "weight must be finite and >= 0, got 'x'"),
+    (lambda: DynamicsSection(decay_grid=("x",)), "decay_grid must be finite and >= 0, got 'x'"),
+    (lambda: MarketParams(10**400, 1, 1), f"supply_slope must be finite and > 0, got {10**400}"),
+    (lambda: droop_quota(10**400, 1), f"valid_votes must be finite and >= 0, got {10**400}"),
+], ids=["fptp-first", "fptp-last", "provider_coeff", "consumer_coeff", "quality", "harm", "t",
+        "fptp-str", "harm-str", "t-str", "edge-cost-str", "MarketParams-str", "Ballot-str",
+        "decay_grid-str", "MarketParams-huge-int", "droop_quota-huge-int"])
 def test_nan_fails_the_nonnegative_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
