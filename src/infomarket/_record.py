@@ -77,23 +77,14 @@ def _checker(f):
         value = get(self)
         for item in value if each else (value,):
             try:
-                if not ((not finite or isfinite(item)) and all(t(item, b) for t, b in tests)):
-                    require(f.name, item, *flat, finite=finite)
+                ok = not finite or isfinite(item)
+                for test, bound in tests:
+                    ok = ok and test(item, bound)
             except (TypeError, OverflowError):  # a test that cannot be made: require says why
+                ok = False
+            if not ok:
                 require(f.name, item, *flat, finite=finite)
-
-    if f.type is not float or len(tests) != 1:
-        return check
-    (test, bound), = tests
-
-    def check_one(self):  # a float with one rule, the common case, without the loops
-        value = get(self)
-        try:
-            if not (test(value, bound) and isfinite(value)):
-                require(f.name, value, *flat, finite=True)
-        except (TypeError, OverflowError):  # a test that cannot be made: require says why
-            require(f.name, value, *flat, finite=True)
-    return check_one
+    return check
 
 
 def record(cls):

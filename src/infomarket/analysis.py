@@ -162,10 +162,7 @@ class SpreadGraph:
             i, j = number.get(src), number.get(dst)
             if i is None or j is None:
                 raise ValueError(f"edge ({src!r}, {dst!r}) uses undeclared nodes")
-            try:
-                if not 0 <= cost < math.inf:  # also false for nan
-                    require(f"cost on edge ({src!r}, {dst!r})", cost, ">=", 0, finite=True)
-            except TypeError:  # a cost that no number compares with
+            if not (type(cost) is float and 0 <= cost < math.inf):  # also false for nan
                 require(f"cost on edge ({src!r}, {dst!r})", cost, ">=", 0, finite=True)
             adjacency[i].append((j, cost))
         # (names, number, adjacency) for min_cost_spread_path; an attribute, not a

@@ -8,8 +8,14 @@ Subcommands: equilibrium, match, game, vote-fptp, vote-meek, dynamics,
 sweep, path. Output lands in ``<out>/<scenario-name>_<subcommand>.csv`` and
 is byte-identical across reruns with the same inputs: a run reads only its
 scenario and the files that scenario names. Each runner imports its own
-subsystem, so a run loads only the modules it uses, and yields its header and
-then each row as plain values: ``main`` writes every cell of the CSV.
+subsystem, so a run loads only the modules it uses.
+
+A run has four stages, and ``main`` owns each boundary: it parses the scenario,
+then takes the runner's first yield, then the rest, then writes. Each runner is a
+generator that checks its sections, reads its files and builds its inputs before
+it yields its header, and calls no kernel until after it; then it yields each row
+as plain values, and ``main`` writes every cell of the CSV. A refusal at any
+stage writes no file.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ def _run_equilibrium(scenario, scenario_path):
 def _run_match(scenario, scenario_path):
     from . import matching
     profile = _require_section(scenario, "matching", "matching")
-    result = matching.gale_shapley(profile, proposing=matching.PROVIDERS)
     yield "provider", "consumer", "provider_rank", "consumer_rank"
+    result = matching.gale_shapley(profile, proposing=matching.PROVIDERS)
     for p, c in result.as_sorted_pairs():
         yield p, c, profile.provider_prefs[p].index(c) + 1, profile.consumer_prefs[c].index(p) + 1
 
@@ -56,6 +62,8 @@ def _run_game(scenario, scenario_path):
     section = _require_section(scenario, "game", "game")
     params = scenario.payoffs if scenario.payoffs is not None else HarmPayoffParams()
     strategies = [game.strategy_by_name(name) for name in section.strategies]
+    yield ("strategy_a", "strategy_b", "rounds",
+           "payoff_a", "payoff_b", "rounds_to_quota_a", "rounds_to_quota_b")
     table = game.run_tournament(
         strategies,
         params=params,
@@ -67,8 +75,6 @@ def _run_game(scenario, scenario_path):
             true_gain=section.true_acceptance, fake_gain=section.fake_acceptance
         ),
     )
-    yield ("strategy_a", "strategy_b", "rounds",
-           "payoff_a", "payoff_b", "rounds_to_quota_a", "rounds_to_quota_b")
     for r in table:
         yield (r.strategy_a, r.strategy_b, r.rounds, r.payoff_a, r.payoff_b,
                r.rounds_to_quota_a, r.rounds_to_quota_b)
@@ -87,9 +93,9 @@ def _load_ballots(scenario, scenario_path):
 def _run_vote_fptp(scenario, scenario_path):
     from . import voting
     _, ballots, candidates = _load_ballots(scenario, scenario_path)
+    yield "candidate", "first_preference_votes", "winner", "tied"
     totals = voting.first_preference_totals(ballots, candidates)
     result = voting.fptp_winner(totals)
-    yield "candidate", "first_preference_votes", "winner", "tied"
     for cand in candidates:
         is_winner = cand == result.winner
         yield cand, totals[cand], int(is_winner), int(is_winner and result.tied)
@@ -98,8 +104,8 @@ def _run_vote_fptp(scenario, scenario_path):
 def _run_vote_meek(scenario, scenario_path):
     from . import voting
     section, ballots, candidates = _load_ballots(scenario, scenario_path)
-    result = voting.meek_count(ballots, candidates, section.seats, section.tolerance)
     yield "round", "candidate", "total", "keep_factor", "quota", "exhausted", "status"
+    result = voting.meek_count(ballots, candidates, section.seats, section.tolerance)
     status = {c: "hopeful" for c in candidates}
     for round_no, rnd in enumerate(result.rounds, start=1):
         for event in rnd.events:
@@ -112,16 +118,17 @@ def _run_vote_meek(scenario, scenario_path):
 def _run_dynamics(scenario, scenario_path):
     from . import dynamics
     section = _require_section(scenario, "dynamics", "dynamics")
-    yield "series", "parameter", "x", "value"
-    for decay in section.decay_grid:
-        params = dynamics.RetentionParams(initial=section.initial_retention, decay=decay)
-        for t in range(section.horizon + 1):
-            yield "retention", decay, t, dynamics.retention(params, t)
+    retentions = [dynamics.RetentionParams(initial=section.initial_retention, decay=decay)
+                  for decay in section.decay_grid]
     curves = (
         ("diminishing_utility", dynamics.diminishing_curve(section.diminishing_scale)),
         ("compounding_utility",
          dynamics.compounding_curve(section.compounding_scale, section.compounding_exponent)),
     )
+    yield "series", "parameter", "x", "value"
+    for params in retentions:
+        for t in range(section.horizon + 1):
+            yield "retention", params.decay, t, dynamics.retention(params, t)
     for label, curve in curves:
         for k in range(section.horizon + 1):
             yield label, None, k, dynamics.utility(curve, k)
@@ -141,12 +148,12 @@ def _run_sweep(scenario, scenario_path):
         fake=analysis_section.changed_fake or base.fake,
         true=analysis_section.changed_true or base.true,
     )
+    yield "reliability", "health_before", "health_after", "marginal"
     before, after = analysis.comparative_sweep(base, changed, grid)
     # The first point has no left neighbour, so its marginal cell is empty.
     marginals = [None]
     if len(grid) > 1:
         marginals += [m for _, m in analysis.reliability_marginal_contribution(after)]
-    yield "reliability", "health_before", "health_after", "marginal"
     for (r, h_before), (_, h_after), marginal in zip(before.points, after.points, marginals):
         yield r, h_before, h_after, marginal
 
@@ -157,8 +164,8 @@ def _run_path(scenario, scenario_path):
     if not (section.graph and section.source and section.target):
         raise ParseError("[analysis] needs graph, source and target for the path subcommand")
     graph = analysis.load_spread_graph(resolve_path(scenario_path, section.graph))
-    cost, path = analysis.min_cost_spread_path(graph, section.source, section.target)
     yield "total_cost", "path"
+    cost, path = analysis.min_cost_spread_path(graph, section.source, section.target)
     yield cost, ">".join(path)
 
 
@@ -194,16 +201,21 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        scenario = load_scenario(args.scenario)
-        # Floats are written as format_number writes them; it sees only inf/nan and
+        scenario = load_scenario(args.scenario)  # parse
+        run = _RUNNERS[args.subcommand](scenario, args.scenario)
+        header = next(run)  # load: the runner reads its files and builds its inputs
+        body = list(run)  # compute: the runner calls its kernels
+        # Write. Floats are written as format_number writes them; it sees only inf/nan and
         # raises before --out exists. csv writes str and int as text and None as "".
-        rows = [[(f"{v:.12g}" if isfinite(v) else format_number(v))
-                 if isinstance(v, float) else v for v in row]
-                for row in _RUNNERS[args.subcommand](scenario, args.scenario)]
+        for i, row in enumerate(body):
+            body[i] = [(f"{v:.12g}" if isfinite(v) else format_number(v))
+                       if isinstance(v, float) else v for v in row]
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, f"{scenario.name}_{args.subcommand}.csv")
         with open(out_path, "w", encoding="utf-8", newline="") as f:
-            csv.writer(f, lineterminator="\n").writerows(rows)
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(body)
     except InfoMarketError as exc:
         print(f"error [{exc.module}]: {exc}", file=sys.stderr)
         return 1

@@ -61,10 +61,7 @@ def harm_payoff(params: HarmPayoffParams, action: NewsType, harm):
     Deceptive provision pays ``fake_base - harm_penalty * harm``; truthful
     provision pays ``truth_payoff`` regardless of harm.
     """
-    try:  # tested inline: a game calls this once per round per player
-        if not harm >= 0:
-            require("harm", harm, ">=", 0)
-    except TypeError:  # a harm that no number compares with
+    if not (type(harm) is int and harm >= 0):  # tested inline: a game calls this per round
         require("harm", harm, ">=", 0)
     if action is NewsType.FAKE:
         return params.fake_base - params.harm_penalty * harm

@@ -52,6 +52,44 @@ def test_shipped_scenarios_reproduce_golden_csvs(subcommand, shipped_scenarios, 
         assert read(tmp_path / name) == read(GOLDEN_DIR / name), name
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("called outside its stage")
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_runner_reads_before_its_header_and_computes_after(
+    subcommand, scenario_dir, tmp_path, monkeypatch
+):
+    from infomarket import analysis, cli, dynamics, game, market, matching, voting
+    kernels = [
+        (market, "equilibrium_closed_form"), (matching, "gale_shapley"),
+        (game, "run_tournament"), (voting, "first_preference_totals"),
+        (voting, "fptp_winner"), (voting, "meek_count"), (dynamics, "retention"),
+        (dynamics, "utility"), (dynamics, "info_marginal_contribution"),
+        (analysis, "comparative_sweep"), (analysis, "reliability_marginal_contribution"),
+        (analysis, "min_cost_spread_path"),
+    ]
+    runner = cli._RUNNERS[subcommand]
+
+    def staged(scenario, scenario_path):  # the runner, with each stage fenced off
+        run = runner(scenario, scenario_path)
+        with monkeypatch.context() as m:
+            for module, name in kernels:
+                m.setattr(module, name, refuse)
+            header = next(run)
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", refuse)
+            body = list(run)
+        yield header
+        yield from body
+
+    monkeypatch.setitem(cli._RUNNERS, subcommand, staged)
+    scenario = scenario_dir / "newsroom.scn"
+    assert run_cli(subcommand, "--scenario", str(scenario), "--out", str(tmp_path)) == 0
+    name = f"newsroom_{subcommand}.csv"
+    assert read(tmp_path / name) == read(GOLDEN_DIR / name)
+
+
 def test_equilibrium_csv_content(scenario_dir, tmp_path):
     scenario = scenario_dir / "newsroom.scn"
     assert run_cli("equilibrium", "--scenario", str(scenario), "--out", str(tmp_path)) == 0

@@ -137,9 +137,11 @@ def test_bases_must_be_finite():
     (lambda: DynamicsSection(decay_grid=("x",)), "decay_grid must be finite and >= 0, got 'x'"),
     (lambda: MarketParams(10**400, 1, 1), f"supply_slope must be finite and > 0, got {10**400}"),
     (lambda: droop_quota(10**400, 1), f"valid_votes must be finite and >= 0, got {10**400}"),
+    (lambda: graph_from_edges([("a", "b", 10**400)]),
+     rf"cost on edge \('a', 'b'\) must be finite and >= 0, got {10**400}"),
 ], ids=["fptp-first", "fptp-last", "provider_coeff", "consumer_coeff", "quality", "harm", "t",
         "fptp-str", "harm-str", "t-str", "edge-cost-str", "MarketParams-str", "Ballot-str",
-        "decay_grid-str", "MarketParams-huge-int", "droop_quota-huge-int"])
+        "decay_grid-str", "MarketParams-huge-int", "droop_quota-huge-int", "edge-cost-huge-int"])
 def test_nan_fails_the_nonnegative_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -1,7 +1,7 @@
 """Property tests: scenario round trips, malformed input fails only cleanly,
-plurality and the exact and float health sweeps match their oracles, the
-game's two quota checks agree, and a CLI run on an edited scenario either
-succeeds silently or ends with one error line."""
+plurality, the exact and float health sweeps and the cobweb iterates match
+their oracles, the game's two quota checks agree, and a CLI run on an edited
+scenario either succeeds silently or ends with one error line."""
 
 import contextlib
 import io
@@ -25,7 +25,7 @@ from infomarket.game import (
     rounds_to_quota,
     strategy_by_name,
 )
-from infomarket.market import MarketParams, MarketScenario
+from infomarket.market import MarketParams, MarketScenario, stability_cobweb
 from infomarket.matching import PreferenceProfile
 from infomarket.payoffs import HarmPayoffParams
 from infomarket.scenario import (
@@ -234,6 +234,16 @@ def test_exact_health_sweep_matches_the_closed_form(base, changed, grid):
     curves = comparative_sweep(base, changed, grid)
     assert [curve.points for curve in curves] == expected
     assert all(type(h) is Fraction for curve in curves for _, h in curve.points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_markets, st.fractions(-20, 100, max_denominator=100), st.integers(1, 12))
+def test_cobweb_iterates_match_the_closed_form(params, p0, steps):
+    # The k-th iterate is p* + (-a/c)**k * (p0 - p*), with p* = b/(a+c), exactly.
+    a, b, c = params.supply_slope, params.demand_intercept, params.demand_slope
+    fixed = b / (a + c)
+    expected = [fixed + (-a / c) ** k * (p0 - fixed) for k in range(1, steps + 1)]
+    assert list(stability_cobweb(params, p0, steps).iterates) == expected
 
 
 # Intercepts at or below 0 make a side infeasible at every r, and r = 0 or 1
