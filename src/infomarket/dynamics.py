@@ -25,8 +25,8 @@ class RetentionParams:
 
 def retention(params: RetentionParams, t) -> float:
     """Fraction of information still held after time t: initial * exp(-decay*t)."""
-    if not (type(t) is int and t >= 0):  # tested inline: a dynamics run calls this per row
-        require("t", t, ">=", 0)
+    if not (type(t) is int and 0 <= t <= 1.7976931348623157e308):  # sys.float_info.max
+        require("t", t, ">=", 0, finite=True)  # inline above: a dynamics run calls this per row
     return params.initial * math.exp(-params.decay * t)
 
 

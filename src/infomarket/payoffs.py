@@ -61,8 +61,8 @@ def harm_payoff(params: HarmPayoffParams, action: NewsType, harm):
     Deceptive provision pays ``fake_base - harm_penalty * harm``; truthful
     provision pays ``truth_payoff`` regardless of harm.
     """
-    if not (type(harm) is int and harm >= 0):  # tested inline: a game calls this per round
-        require("harm", harm, ">=", 0)
+    if not (type(harm) is int and 0 <= harm <= 1.7976931348623157e308):  # sys.float_info.max
+        require("harm", harm, ">=", 0, finite=True)  # inline above: a game calls this per round
     if action is NewsType.FAKE:
         return params.fake_base - params.harm_penalty * harm
     return params.truth_payoff

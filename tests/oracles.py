@@ -12,7 +12,9 @@ is kept so a kernel rewritten for speed can be held to the same results bit
 for bit. The diminishing utility is a running fold over the harmonic terms.
 One health sweep solves each market in closed form, exactly; the other
 builds each point's markets and state, as the float sweep did before it
-went to closed form.
+went to closed form. The provider-optimal matching is picked from every
+stable one, and the most compensated provider is found by comparing each
+provider with all the others.
 """
 
 import heapq
@@ -77,6 +79,18 @@ def enumerate_stable_pure(profile):
         if not blocked:
             stable.add(frozenset(pairs))
     return stable
+
+
+def provider_optimal_stable(profile):
+    """The stable matching that every provider weakly prefers to every other one, picked
+    from ``enumerate_stable_pure``; a provider left single ranks that last."""
+    def ranks(pairs):
+        partner = dict(pairs)
+        return [profile.provider_prefs[p].index(partner[p]) if p in partner
+                else len(profile.consumers) for p in profile.providers]
+    stable = enumerate_stable_pure(profile)
+    return next(m for m in stable
+                if all(all(map(operator.le, ranks(m), ranks(other))) for other in stable))
 
 
 def enumerate_stable_vectorized(profile):
@@ -170,6 +184,16 @@ def cheapest_simple_path(edges, source, target):
     if best is None:
         return None
     return best[0], list(best[1])
+
+
+def max_compensation_by_scan(providers):
+    """(provider, tied) for ``game.max_compensation``, one provider at a time: the provider
+    that no other out-pays, with an id no higher than that of any provider paid as much."""
+    for pid, params in providers:
+        pay = params.truth_payoff
+        if all(pay > q.truth_payoff or (pay == q.truth_payoff and pid <= qid)
+               for qid, q in providers):
+            return pid, sum(q.truth_payoff == pay for _, q in providers) >= 2
 
 
 def gale_shapley_by_name(profile, proposing=PROVIDERS):

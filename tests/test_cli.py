@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import shutil
 import subprocess
@@ -9,8 +10,11 @@ from types import ModuleType
 import pytest
 
 from infomarket.cli import SUBCOMMANDS, main
+from infomarket.scenario import _KINDS
+from test_readme import declared_keys
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SHIPPED = sorted(Path(__file__).resolve().parent.parent.glob("scenarios/*.scn"))
 
 
 def run_cli(*argv):
@@ -122,12 +126,6 @@ def test_help_names_every_subcommand(capsys):
     assert all(name in out for name in SUBCOMMANDS) and len(SUBCOMMANDS) == 8
 
 
-def test_missing_scenario_file_fails(tmp_path, capsys):
-    assert run_cli("equilibrium", "--scenario", str(tmp_path / "nope.scn"),
-                   "--out", str(tmp_path)) == 1
-    assert "error" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("out, message", [
     ("a_file", "File exists"),
     ("a_file/sub", "Not a directory"),
@@ -142,263 +140,183 @@ def test_unwritable_output_reported_in_one_line(out, message, scenario_dir, tmp_
     assert err.startswith("error [io]: ") and message in err and err.count("\n") == 1
 
 
-def test_missing_section_fails_with_context(tmp_path, capsys):
-    path = tmp_path / "partial.scn"
-    path.write_text("name = partial\n[payoffs]\nfake_base = 5\n")
-    assert run_cli("equilibrium", "--scenario", str(path), "--out", str(tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and "market" in err
+def edited(text, changes):
+    """Scenario text with each ``changes[section][key]`` line set, first in its section, or
+    dropped where the value is None; a section mapped to None is dropped whole."""
+    def put(new):
+        return [f"{key} = {value}" for key, value in new.items() if value is not None]
+    new = changes.get("preamble", {})
+    lines = put(new)
+    for line in text.splitlines():
+        if line.startswith("["):
+            new = changes.get(line[1:-1], {})
+            lines += [line, *put(new)] if new is not None else []
+        elif new is not None and line.split(" = ")[0] not in new:
+            lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
-def test_infeasible_market_surfaces_module_error(tmp_path, capsys):
-    path = tmp_path / "broken.scn"
-    path.write_text(
-        "name = broken\n"
-        "[market.fake]\nsupply_slope = 1\ndemand_intercept = -3\ndemand_slope = 1\n"
-        "[market.true]\nsupply_slope = 1\ndemand_intercept = 8\ndemand_slope = 1\n"
-    )
-    assert run_cli("equilibrium", "--scenario", str(path), "--out", str(tmp_path)) == 1
-    assert "error [market]" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_market_coefficient_rejected(value, scenario_dir, tmp_path, capsys):
-    text = (scenario_dir / "newsroom.scn").read_text()
-    path = tmp_path / "newsroom.scn"
-    path.write_text(text.replace("demand_intercept = 10", f"demand_intercept = {value}", 1))
-    out = tmp_path / "out"
-    assert run_cli("equilibrium", "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and "demand_intercept must be finite" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-def test_bad_voting_tolerance_rejected(value, scenario_dir, tmp_path, capsys):
-    text = (scenario_dir / "newsroom.scn").read_text()
-    path = tmp_path / "newsroom.scn"
-    path.write_text(text.replace("tolerance = 1e-09", f"tolerance = {value}", 1))
-    for referenced in scenario_dir.glob("newsroom_*.txt"):
-        shutil.copy(referenced, tmp_path)
-    out = tmp_path / "out"
-    assert run_cli("vote-meek", "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and "tolerance must be finite and >= 0" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("cost", ["inf", "nan"])
-def test_non_finite_graph_cost_rejected(cost, tmp_path, capsys):
-    (tmp_path / "route_graph.txt").write_text(f"a b {cost}\nb c 1\n")
-    path = tmp_path / "route.scn"
-    path.write_text("name = route\n[analysis]\ngraph = route_graph.txt\nsource = a\ntarget = c\n")
-    out = tmp_path / "out"
-    assert run_cli("path", "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and "must be finite and >= 0" in err
-    assert not out.exists()
-
-
-def edited_newsroom(scenario_dir, tmp_path, old, new):
-    """newsroom.scn with one line replaced, next to copies of the files it references."""
-    for referenced in scenario_dir.glob("newsroom_*.txt"):
-        shutil.copy(referenced, tmp_path)
-    path = tmp_path / "newsroom.scn"
-    path.write_text((scenario_dir / "newsroom.scn").read_text().replace(old, new, 1))
+def scenario_copy(scenario_dir, tmp_path, changes, base="newsroom.scn", files=None):
+    """Copies of the shipped scenarios and their files under tmp_path, with base edited by
+    changes and each of files written, or deleted where its text is None; base's path."""
+    shutil.copytree(scenario_dir, tmp_path / "in")
+    path = tmp_path / "in" / base
+    path.write_text(edited(path.read_text(), changes))
+    for name, text in (files or {}).items():
+        if text is None:
+            (tmp_path / "in" / name).unlink()
+        else:
+            (tmp_path / "in" / name).write_text(text)
     return path
 
 
+def row(id, subcommands, changes, expected, files=None, base="newsroom.scn"):
+    """A row of the refusal table, checked by the refused fixture."""
+    return pytest.param(subcommands, changes, expected, files, base, id=id)
+
+
+@pytest.fixture
+def refused(scenario_dir, tmp_path, capsys):
+    """Checks a refusal: each of subcommands, run on base edited by changes and files, exits 1
+    with expected as its whole stderr, or, for a tuple, one line that holds each of its parts,
+    and writes no --out directory and no CSV."""
+    def check(subcommands, changes, expected, files=None, base="newsroom.scn"):
+        path = scenario_copy(scenario_dir, tmp_path, changes, base, files)
+        out = tmp_path / "out"
+        for subcommand in subcommands:
+            assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1, subcommand
+            err = capsys.readouterr().err
+            if isinstance(expected, str):
+                assert err == expected, subcommand
+            else:
+                assert err.count("\n") == 1 and all(part in err for part in expected), err
+        assert not out.exists() and not list(tmp_path.rglob("*.csv"))
+    return check
+
+
+def past(op, bound, kind):
+    """Scenario text for a value of kind just past one declared bound."""
+    if op == "in":
+        return "x"
+    if op == ">":
+        return repr(kind(bound))  # the bound itself fails a strict test
+    step = -1 if op == ">=" else 1
+    return repr(bound + step if kind is int else math.nextafter(bound, step * math.inf))
+
+
+def declared_rows():
+    """A row for each bound of each declared key, for -1 in each int key (each one counts
+    something, or is the seed) and for nan, inf and -inf in each float key. Each is refused
+    while the scenario is parsed, so every subcommand refuses it, and in the same words."""
+    for section, f in declared_keys():
+        kind, _ = _KINDS[f.type]
+        finite, rules = kind is float, f.metadata.get("rules", ())
+        need = " and ".join(["finite"] * finite + [f"{op} {bound}" for op, bound in rules])
+        bad = [past(op, bound, kind) for op, bound in rules]
+        bad += ["-1"] * (kind is int) + ["nan", "inf", "-inf"] * finite
+        base = next(p.name for p in SHIPPED
+                    if section == "preamble" or f"[{section}]\n" in p.read_text())
+        items = f.default if isinstance(f.default, tuple) else ()  # so a later item is checked
+        for value in dict.fromkeys(bad):
+            yield row(f"{section}.{f.name}={value}", SUBCOMMANDS,
+                      {section: {f.name: " ".join([*map(repr, items), value])}},
+                      f"error [scenario]: [{section}] {f.name} must be {need}, "
+                      f"got {kind(value)!r}\n", base=base)
+
+
+REFUSALS = [
+    *declared_rows(),
+    *(row(f"{section}.{key}=", [subcommand], {section: {key: ""}},
+          f"error [scenario]: [{section}] {key} needs a value\n")
+      for subcommand, section, key in [("game", "game", "strategies"),
+                                       ("dynamics", "dynamics", "decay_grid"),
+                                       ("vote-meek", "voting", "ballots")]),
+]
+
+
+@pytest.mark.parametrize("subcommands, changes, expected, files, base", REFUSALS)
+def test_refusal(subcommands, changes, expected, files, base, refused):
+    refused(subcommands, changes, expected, files, base)
+
+
+def test_missing_scenario_file_fails(refused):
+    refused(["equilibrium"], {}, ("error [io]: [Errno 2] No such file", "newsroom.scn"),
+            files={"newsroom.scn": None})
+
+
+def test_missing_section_fails_with_context(refused):
+    refused(["equilibrium"], {"market.fake": None, "market.true": None},
+            "error [scenario]: scenario 'newsroom' has no [market.fake] / [market.true] section\n")
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a/b", ".", ".."])
-def test_scenario_name_that_is_not_a_file_name_writes_no_file(
-    name, scenario_dir, tmp_path, capsys
-):
-    path = edited_newsroom(scenario_dir, tmp_path, "name = newsroom", f"name = {name}")
-    out = tmp_path / "out"
-    assert run_cli("equilibrium", "--scenario", str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err == (
-        f"error [scenario]: [preamble] name must be a file name, got {name!r}\n")
-    assert not out.exists() and not list(tmp_path.rglob("*.csv"))
+def test_scenario_name_that_is_not_a_file_name_writes_no_file(name, refused):
+    refused(["equilibrium"], {"preamble": {"name": name}},
+            f"error [scenario]: [preamble] name must be a file name, got {name!r}\n")
 
 
-# Each run gets newsroom.scn without the line `removed` and a ballot file of comments only.
-@pytest.mark.parametrize("subcommand, removed, message", [
-    ("vote-fptp", "", "ballot file holds no rankings"),
-    ("path", "graph = newsroom_graph.txt\n",
+@pytest.mark.parametrize("subcommand, changes, files, message", [
+    ("vote-fptp", {}, {"newsroom_ballots.txt": "# no ballots yet\n\n"},
+     "ballot file holds no rankings"),
+    ("path", {"analysis": {"graph": None}}, {},
      "[analysis] needs graph, source and target for the path subcommand"),
 ], ids=["comment-only-ballots", "path-without-graph"])
-def test_run_without_its_inputs_fails_cleanly(
-    subcommand, removed, message, scenario_dir, tmp_path, capsys
-):
-    path = edited_newsroom(scenario_dir, tmp_path, removed, "")
-    (tmp_path / "newsroom_ballots.txt").write_text("# no ballots yet\n\n")
-    out = tmp_path / "out"
-    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error [scenario]: {message}\n"
-    assert not out.exists()
+def test_run_without_its_inputs_fails_cleanly(subcommand, changes, files, message, refused):
+    refused([subcommand], changes, f"error [scenario]: {message}\n", files)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_game_audience_rejected(value, scenario_dir, tmp_path, capsys):
-    path = edited_newsroom(scenario_dir, tmp_path, "audience = 100", f"audience = {value}")
-    out = tmp_path / "out"
-    assert run_cli("game", "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and "audience must be finite and > 0" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, value", [
-    ("diminishing_scale = 1", "diminishing_scale = nan"),
-    ("compounding_exponent = 2", "compounding_exponent = inf"),
-    ("decay_grid = 0.1 0.3 0.5 1", "decay_grid = 0.1 nan"),
-    ("decay_grid = 0.1 0.3 0.5 1", "decay_grid = inf"),
-    ("compounding_scale = 1", "compounding_scale = inf"),
-])
-def test_non_finite_dynamics_value_rejected(key, value, scenario_dir, tmp_path, capsys):
-    path = edited_newsroom(scenario_dir, tmp_path, key, value)
-    out = tmp_path / "out"
-    assert run_cli("dynamics", "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and "must be finite" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("old, new, message", [
-    ("initial_retention = 1", "initial_retention = 2",
-     "[dynamics] initial_retention must be finite and >= 0 and <= 1, got 2.0"),
-    ("initial_retention = 1", "initial_retention = -0.5",
-     "[dynamics] initial_retention must be finite and >= 0 and <= 1, got -0.5"),
-    ("decay_grid = 0.1 0.3 0.5 1", "decay_grid = 0.1 -1",
-     "[dynamics] decay_grid must be finite and >= 0, got -1.0"),
-    ("diminishing_scale = 1", "diminishing_scale = -1",
-     "[dynamics] diminishing_scale must be finite and >= 0, got -1.0"),
-    ("compounding_scale = 1", "compounding_scale = -1",
-     "[dynamics] compounding_scale must be finite and >= 0, got -1.0"),
-    ("compounding_exponent = 2", "compounding_exponent = 1",
-     "[dynamics] compounding_exponent must be finite and > 1, got 1.0"),
-])
-def test_out_of_range_dynamics_value_rejected_at_parse(
-    old, new, message, scenario_dir, tmp_path, capsys
-):
-    path = edited_newsroom(scenario_dir, tmp_path, old, new)
-    out = tmp_path / "out"
-    for subcommand in ("dynamics", "equilibrium"):
-        assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error [scenario]") and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("old, new, message", [
-    ("ballots = newsroom_ballots.txt\nseats = 2", "ballots = newsroom_ballots.txt\nseats = 0",
-     "[voting] seats must be >= 1, got 0"),
-    ("reliability_grid = 0 0.25 0.5 0.75 1", "reliability_grid = 0 2",
-     "[analysis] reliability_grid must be finite and >= 0 and <= 1, got 2.0"),
-])
-def test_out_of_range_voting_and_analysis_value_rejected_at_parse(
-    old, new, message, scenario_dir, tmp_path, capsys
-):
-    path = edited_newsroom(scenario_dir, tmp_path, old, new)
-    out = tmp_path / "out"
-    for subcommand in ("equilibrium", "vote-fptp", "vote-meek", "sweep"):
-        assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error [scenario]: {message}")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("old, new", [
-    ("true_acceptance = 2", "true_acceptance = -1"),
-    ("fake_acceptance = 3", "fake_acceptance = -1"),
-], ids=["true_acceptance", "fake_acceptance"])
-def test_negative_acceptance_gain_rejected_at_parse(old, new, scenario_dir, tmp_path, capsys):
-    path = edited_newsroom(scenario_dir, tmp_path, old, new)
-    key = old.split()[0]
-    out = tmp_path / "out"
-    for subcommand in SUBCOMMANDS:
-        assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err == f"error [scenario]: [game] {key} must be finite and >= 0, got -1.0\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("subcommand, old, new", [
-    ("game", "truth_payoff = 3", "truth_payoff = 1e308"),
-    ("game", "harm_penalty = 2", "harm_penalty = 1e308"),
-    ("dynamics", "diminishing_scale = 1", "diminishing_scale = 1e308"),
-    ("dynamics", "compounding_scale = 1", "compounding_scale = 1e308"),
-    ("equilibrium", "supply_slope = 1\ndemand_intercept = 10\ndemand_slope = 1",
-     "supply_slope = 1e-300\ndemand_intercept = 1e308\ndemand_slope = 1e-300"),
-], ids=["truth_payoff", "harm_penalty", "diminishing_scale", "compounding_scale", "market.fake"])
-def test_non_finite_result_writes_no_csv(subcommand, old, new, scenario_dir, tmp_path, capsys):
-    path = edited_newsroom(scenario_dir, tmp_path, old, new)
-    out = tmp_path / "out"
-    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error [input]: a result is ") and err.count("\n") == 1
-    assert "not a finite number" in err
-    assert not out.exists()
-
-
-def test_overflowing_result_reported_in_one_line(scenario_dir, tmp_path, capsys):
-    path = edited_newsroom(
-        scenario_dir, tmp_path, "compounding_exponent = 2", "compounding_exponent = 400"
-    )
-    out = tmp_path / "out"
-    assert run_cli("dynamics", "--scenario", str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err == (
-        "error [input]: a result is too large to compute: an input value is out of range\n"
-    )
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("subcommand, old, new, message", [
-    ("game", "fake_base = 5", "fake_base = nan", "[payoffs] fake_base must be finite"),
-    ("game", "truth_payoff = 3", "truth_payoff = inf", "[payoffs] truth_payoff must be finite"),
-    ("game", "true_acceptance = 2", "true_acceptance = nan",
-     "[game] true_acceptance must be finite"),
-])
-def test_non_finite_scenario_number_rejected(
-    subcommand, old, new, message, scenario_dir, tmp_path, capsys
-):
-    path = edited_newsroom(scenario_dir, tmp_path, old, new)
-    out = tmp_path / "out"
-    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("subcommand, old, section, key", [
-    ("game", "strategies = AlwaysTrue AlwaysFake TitForTat GrimTrigger", "game", "strategies"),
-    ("dynamics", "decay_grid = 0.1 0.3 0.5 1", "dynamics", "decay_grid"),
-    ("vote-meek", "ballots = newsroom_ballots.txt", "voting", "ballots"),
-])
-def test_empty_scenario_value_rejected(
-    subcommand, old, section, key, scenario_dir, tmp_path, capsys
-):
-    path = edited_newsroom(scenario_dir, tmp_path, old, f"{key} =")
-    out = tmp_path / "out"
-    assert run_cli(subcommand, "--scenario", str(path), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "error [scenario]" in err and f"[{section}] {key} needs a value" in err
-    assert not out.exists()
+def test_sweep_without_reliability_grid_fails(refused):
+    refused(["sweep"], {"analysis": {"reliability_grid": None}},
+            "error [scenario]: no reliability grid: set [analysis] reliability_grid\n")
 
 
 @pytest.mark.parametrize("grid", ["0.5 0.2", "0.5 0.5"])
-def test_out_of_order_grid_is_named_before_a_point_with_no_market(
-    grid, scenario_dir, tmp_path, capsys
-):
-    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1",
-                           f"reliability_grid = {grid}")
-    # Both intercepts at -1: neither side trades at any reliability.
-    text = path.read_text().replace("demand_intercept = 10", "demand_intercept = -1", 1)
-    path.write_text(text.replace("demand_intercept = 8", "demand_intercept = -1"))
+def test_out_of_order_grid_is_named_before_a_point_with_no_market(grid, refused):
+    # Both intercepts at -1, so no point of the grid has a market: its order is named first.
     first, second = grid.split()
-    for subcommand in ("sweep", "equilibrium"):
-        assert run_cli(subcommand, "--scenario", str(path), "--out", str(tmp_path / "out")) == 1
-        assert capsys.readouterr().err == ("error [scenario]: [analysis] reliability_grid must be "
-                                           f"strictly increasing, got {second} after {first}\n")
+    refused(["sweep", "equilibrium"],
+            {"analysis": {"reliability_grid": grid},
+             "market.fake": {"demand_intercept": -1}, "market.true": {"demand_intercept": -1}},
+            "error [scenario]: [analysis] reliability_grid must be strictly increasing, "
+            f"got {second} after {first}\n")
+
+
+@pytest.mark.parametrize("subcommand, section, changes, result", [
+    ("game", "payoffs", {"truth_payoff": 1e308}, "inf"),
+    ("game", "payoffs", {"harm_penalty": 1e308}, "-inf"),
+    ("dynamics", "dynamics", {"diminishing_scale": 1e308}, "inf"),
+    ("dynamics", "dynamics", {"compounding_scale": 1e308}, "inf"),
+    ("equilibrium", "market.fake",
+     {"supply_slope": 1e-300, "demand_intercept": 1e308, "demand_slope": 1e-300}, "inf"),
+], ids=["truth_payoff", "harm_penalty", "diminishing_scale", "compounding_scale", "market.fake"])
+def test_non_finite_result_writes_no_csv(subcommand, section, changes, result, refused):
+    refused([subcommand], {section: changes},
+            f"error [input]: a result is {result}, not a finite number: "
+            "an input value is out of range\n")
+
+
+def test_overflowing_result_reported_in_one_line(refused):
+    refused(["dynamics"], {"dynamics": {"compounding_exponent": 400}},
+            "error [input]: a result is too large to compute: an input value is out of range\n")
+
+
+def test_infeasible_market_surfaces_module_error(refused):
+    refused(["equilibrium"], {"market.fake": {"demand_intercept": -3}},
+            "error [market]: demand intercept -3.0 gives non-positive equilibrium price "
+            "and quantity\n")
+
+
+def test_unknown_strategy_reported_cleanly(refused):
+    refused(["game"], {"game": {"strategies": "AlwaysTrue Rogue"}},
+            "error [input]: unknown strategy 'Rogue' "
+            "(available: AlwaysFake, AlwaysTrue, GrimTrigger, TitForTat)\n")
+
+
+@pytest.mark.parametrize("cost", ["inf", "nan"])
+def test_non_finite_graph_cost_rejected(cost, refused):
+    refused(["path"], {"analysis": {"source": "a", "target": "c"}},
+            f"error [scenario]: cost on edge ('a', 'b') must be finite and >= 0, got {cost}\n",
+            files={"newsroom_graph.txt": f"a b {cost}\nb c 1\n"})
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -535,28 +453,18 @@ def test_lazy_package_exports_every_name():
 
 
 def test_grid_override_changes_sweep(scenario_dir, tmp_path):
-    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1",
-                           "reliability_grid = 0.25 0.75")
+    path = scenario_copy(scenario_dir, tmp_path, {"analysis": {"reliability_grid": "0.25 0.75"}})
     assert run_cli("sweep", "--scenario", str(path), "--out", str(tmp_path)) == 0
     lines = (tmp_path / "newsroom_sweep.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.75"]
 
 
 def test_one_point_grid_sweep_has_no_marginal(scenario_dir, tmp_path):
-    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1",
-                           "reliability_grid = 0.5")
+    path = scenario_copy(scenario_dir, tmp_path, {"analysis": {"reliability_grid": "0.5"}})
     assert run_cli("sweep", "--scenario", str(path), "--out", str(tmp_path)) == 0
     lines = (tmp_path / "newsroom_sweep.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("0.5,") and lines[1].endswith(",")
-
-
-def test_sweep_without_reliability_grid_fails(scenario_dir, tmp_path, capsys):
-    path = edited_newsroom(scenario_dir, tmp_path, "reliability_grid = 0 0.25 0.5 0.75 1\n", "")
-    out = tmp_path / "out"
-    assert run_cli("sweep", "--scenario", str(path), "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith("error [scenario]: no reliability grid")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [("--seed", "1"), ("--grid", "0.5")], ids=["seed", "grid"])
@@ -568,10 +476,3 @@ def test_removed_flags_are_usage_errors(subcommand, flag, scenario_dir, tmp_path
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-def test_unknown_strategy_reported_cleanly(tmp_path, capsys):
-    path = tmp_path / "rogue.scn"
-    path.write_text("name = rogue\n[game]\nstrategies = AlwaysTrue Rogue\n")
-    assert run_cli("game", "--scenario", str(path), "--out", str(tmp_path)) == 1
-    assert "error [input]" in capsys.readouterr().err

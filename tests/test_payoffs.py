@@ -123,13 +123,14 @@ def test_bases_must_be_finite():
     (lambda: compensation(1, math.nan, 1, NewsType.TRUE), "consumer_coeff must be >= 0, got nan"),
     (lambda: compensation(1, 1, math.nan, NewsType.TRUE), "quality must be >= 0, got nan"),
     (lambda: harm_payoff(HarmPayoffParams(), NewsType.FAKE, math.nan),
-     "harm must be >= 0, got nan"),
-    (lambda: retention(RetentionParams(), math.nan), "t must be >= 0, got nan"),
+     "harm must be finite and >= 0, got nan"),
+    (lambda: retention(RetentionParams(), math.nan), "t must be finite and >= 0, got nan"),
     # Values that no number compares with, and ints past the float range, end in the
     # same messages, not in Python's own TypeError or OverflowError text.
     (lambda: fptp_winner({"a": "x"}), "negative vote count for 'a'"),
-    (lambda: harm_payoff(HarmPayoffParams(), NewsType.FAKE, "x"), "harm must be >= 0, got 'x'"),
-    (lambda: retention(RetentionParams(), "x"), "t must be >= 0, got 'x'"),
+    (lambda: harm_payoff(HarmPayoffParams(), NewsType.FAKE, "x"),
+     "harm must be finite and >= 0, got 'x'"),
+    (lambda: retention(RetentionParams(), "x"), "t must be finite and >= 0, got 'x'"),
     (lambda: graph_from_edges([("a", "b", "x")]),
      r"cost on edge \('a', 'b'\) must be finite and >= 0, got 'x'"),
     (lambda: MarketParams("x", 1, 1), "supply_slope must be finite and > 0, got 'x'"),
@@ -139,9 +140,13 @@ def test_bases_must_be_finite():
     (lambda: droop_quota(10**400, 1), f"valid_votes must be finite and >= 0, got {10**400}"),
     (lambda: graph_from_edges([("a", "b", 10**400)]),
      rf"cost on edge \('a', 'b'\) must be finite and >= 0, got {10**400}"),
+    (lambda: harm_payoff(HarmPayoffParams(), NewsType.FAKE, 10**400),
+     f"harm must be finite and >= 0, got {10**400}"),
+    (lambda: retention(RetentionParams(), 10**400), f"t must be finite and >= 0, got {10**400}"),
 ], ids=["fptp-first", "fptp-last", "provider_coeff", "consumer_coeff", "quality", "harm", "t",
         "fptp-str", "harm-str", "t-str", "edge-cost-str", "MarketParams-str", "Ballot-str",
-        "decay_grid-str", "MarketParams-huge-int", "droop_quota-huge-int", "edge-cost-huge-int"])
+        "decay_grid-str", "MarketParams-huge-int", "droop_quota-huge-int", "edge-cost-huge-int",
+        "harm-huge-int", "t-huge-int"])
 def test_nan_fails_the_nonnegative_input_checks(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -1,6 +1,7 @@
 """Property tests: scenario round trips, malformed input fails only cleanly,
-plurality, the exact and float health sweeps and the cobweb iterates match
-their oracles, the game's two quota checks agree, and a CLI run on an edited
+plurality, the exact and float health sweeps, the cobweb iterates, the most
+compensated provider and a provider's marginal contribution match their
+oracles, the game's two quota checks agree, and a CLI run on an edited
 scenario either succeeds silently or ends with one error line."""
 
 import contextlib
@@ -11,7 +12,7 @@ import string
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infomarket.analysis import comparative_sweep, parse_spread_graph
@@ -21,13 +22,20 @@ from infomarket.game import (
     BUILTIN_STRATEGIES,
     AcceptanceRule,
     droop_acceptance_reached,
+    max_compensation,
     play_iterated,
     rounds_to_quota,
     strategy_by_name,
 )
-from infomarket.market import MarketParams, MarketScenario, stability_cobweb
-from infomarket.matching import PreferenceProfile
-from infomarket.payoffs import HarmPayoffParams
+from infomarket.market import MarketParams, MarketScenario, NewsType, stability_cobweb
+from infomarket.matching import (
+    Matching,
+    PreferenceProfile,
+    marginal_contribution,
+    pair_count,
+    total_payoff_value,
+)
+from infomarket.payoffs import ConsumerParams, CostSchedule, HarmPayoffParams, ProviderParams
 from infomarket.scenario import (
     AnalysisSection,
     DynamicsSection,
@@ -39,7 +47,13 @@ from infomarket.scenario import (
     serialize_scenario,
 )
 from infomarket.voting import Ballot, first_preference_totals, fptp_winner, parse_ballots
-from oracles import comparative_sweep_by_state, health_sweep_closed_form, plurality_recount
+from oracles import (
+    comparative_sweep_by_state,
+    health_sweep_closed_form,
+    max_compensation_by_scan,
+    plurality_recount,
+    provider_optimal_stable,
+)
 
 # Numbers go through format_number, so each one survives its own rendering.
 numbers = st.floats(-1e6, 1e6).map(lambda x: float(format_number(x)))
@@ -118,6 +132,38 @@ def test_parse_inverts_serialize(scenario):
     text = serialize_scenario(scenario)
     assert parse_scenario(text) == scenario
     assert serialize_scenario(parse_scenario(text)) == text
+
+
+# Few distinct payoffs, so providers often tie for the lead.
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcdefgh"), st.sampled_from([-1.5, 0.0, 3.0, 4.0])),
+                min_size=1, max_size=6, unique_by=lambda entry: entry[0]))
+def test_max_compensation_matches_a_scan_of_the_providers(entries):
+    providers = [(pid, HarmPayoffParams(truth_payoff=pay)) for pid, pay in entries]
+    result = max_compensation(providers)
+    assert (result.provider, result.tied) == max_compensation_by_scan(providers)
+
+
+# Random profiles seldom have two stable matchings, so the example holds one that does.
+@settings(max_examples=200, deadline=None)
+@given(profiles(), st.integers(0, 6))
+@example(PreferenceProfile(("p", "q"), ("c", "d"), {"p": ("c", "d"), "q": ("d", "c")},
+                           {"c": ("q", "p"), "d": ("p", "q")}), 0)
+def test_marginal_contribution_matches_the_provider_optimal_stable_matchings(profile, which):
+    provider = profile.providers[which % len(profile.providers)]
+    full = Matching(provider_optimal_stable(profile))
+    reduced = Matching(provider_optimal_stable(profile.without_provider(provider)))
+    payoff = total_payoff_value(  # each agent paid differently, so who is matched counts
+        {p: ProviderParams(i, 0.5) for i, p in enumerate(profile.providers)},
+        {c: ConsumerParams(-i, 0.25) for i, c in enumerate(profile.consumers)},
+        CostSchedule(fake_cost=1.0, fake_disadvantage=2.0), NewsType.FAKE,
+    )
+    # Every stable matching pairs off the same agents, so only a valuation of who is
+    # paired with whom can tell the provider-optimal matching from another stable one.
+    def partner_ranks(matching):
+        return sum(profile.provider_prefs[p].index(c) for p, c in matching.pairs)
+    for value in (pair_count, payoff, partner_ranks):
+        assert marginal_contribution(profile, provider, value) == value(full) - value(reduced)
 
 
 # Fragments that a malformed file mixes: real and bogus headers, known keys,

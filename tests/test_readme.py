@@ -33,13 +33,19 @@ def _rule(f) -> str:
     return " and ".join(rules)
 
 
-def scenario_key_table() -> str:
-    """One row per scenario key: the preamble's, then each keyed section's in file order."""
-    rows = ["| section | key | type | default | rule |", "|---|---|---|---|---|"]
+def declared_keys():
+    """(section, field) for each scenario key: the preamble's, then each keyed section's in
+    file order. ``[matching]`` declares no record, so it has none."""
     for section, cls in {"preamble": Scenario, **_SECTIONS}.items():
-        name = section if cls is Scenario else f"`[{section}]`"
-        for key, f in _keys(cls).items() if cls is not None else ():
-            rows.append(f"| {name} | `{key}` | {TYPES[f.type]} | {_default(f)} | {_rule(f)} |")
+        yield from ((section, f) for f in (_keys(cls).values() if cls is not None else ()))
+
+
+def scenario_key_table() -> str:
+    """One row per scenario key."""
+    rows = ["| section | key | type | default | rule |", "|---|---|---|---|---|"]
+    for section, f in declared_keys():
+        name = section if section == "preamble" else f"`[{section}]`"
+        rows.append(f"| {name} | `{f.name}` | {TYPES[f.type]} | {_default(f)} | {_rule(f)} |")
     return "\n".join(rows)
 
 
