@@ -199,6 +199,8 @@ def parse_spread_graph(lines: Iterable[str]) -> SpreadGraph:
 
 def load_spread_graph(path) -> SpreadGraph:
     with open(path, encoding="utf-8") as f:
+        if f.read(1) != "\ufeff":  # a leading byte-order mark is not part of line 1
+            f.seek(0)
         return parse_spread_graph(f)
 
 

@@ -261,6 +261,9 @@ def _matching_section(data: dict) -> "PreferenceProfile":
     missing = [k for k in ("providers", "consumers") if k not in data]
     if missing:
         raise ParseError(f"[matching] missing keys: {missing}")
+    for key in ("providers", "consumers"):
+        if not data[key]:
+            raise ParseError(f"[matching] {key} needs a value")
     providers = tuple(data["providers"].split())
     consumers = tuple(data["consumers"].split())
     # Each ranking entry becomes the declared id's own str object, so the
@@ -321,7 +324,7 @@ def parse_scenario(text: str) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read and parse a scenario file, checking that referenced files exist."""
     with open(path, encoding="utf-8") as f:
-        scenario = parse_scenario(f.read())
+        scenario = parse_scenario(f.read().removeprefix("\ufeff"))  # drop a byte-order mark
     for section in (scenario.voting, scenario.analysis):
         for f in fields(section) if section is not None else ():
             ref = getattr(section, f.name)

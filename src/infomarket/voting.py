@@ -455,4 +455,6 @@ def _parse_line(line: str, lineno: int) -> Ballot:
 
 def load_ballot_file(path) -> list[Ballot]:
     with open(path, encoding="utf-8") as f:
+        if f.read(1) != "\ufeff":  # a leading byte-order mark is not part of line 1
+            f.seek(0)
         return parse_ballots(f)

@@ -26,14 +26,20 @@ PINNED = {
     "spread": "1f8e60a0dc8eebada3240a5cb99c889778901862d92c13726adc16358fe4f463",
 }
 
-_GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded by path: ``bench`` is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def seed0_count_hashes() -> dict[str, str]:
     """Name -> sha256 of ``repr(meek_count(...))`` for the seed-0 elections."""
-    spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = bench_module("gen")
     rng = random.Random("election-0")  # drawn in bench/run.py's order: party, then spread
     elections = {"party": (gen.party_election(rng, 20000, 12, 4), 4),
                  "spread": (gen.spread_election(rng, 6000, 20, 200), 6)}

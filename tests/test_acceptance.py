@@ -18,6 +18,7 @@ from oracles import (
     enumerate_stable_vectorized,
     nash_best_response,
 )
+from test_matching import random_profile
 
 from infomarket.analysis import (
     HealthCurve,
@@ -33,7 +34,7 @@ from infomarket.dynamics import RetentionParams, retention
 from infomarket.errors import Unreachable
 from infomarket.game import Action, StageGame, always_fake, nash_equilibria, play_iterated
 from infomarket.market import Equilibrium, MarketParams, equilibrium_closed_form, equilibrium_numeric
-from infomarket.matching import PROVIDERS, gale_shapley, is_stable, PreferenceProfile
+from infomarket.matching import PROVIDERS, gale_shapley, is_stable
 from infomarket.payoffs import HarmPayoffParams, crossover_harm, harm_payoff
 from infomarket.market import NewsType
 from infomarket.voting import Ballot, droop_quota, meek_count
@@ -92,34 +93,18 @@ def test_c04_meek_hand_example():
             assert all(b <= a for a, b in zip(series, series[1:]))
 
 
-def _random_profile(rng, n, m):
-    providers = tuple(f"p{i}" for i in range(n))
-    consumers = tuple(f"c{j}" for j in range(m))
-    p_prefs = {}
-    for p in providers:
-        order = list(consumers)
-        rng.shuffle(order)
-        p_prefs[p] = tuple(order)
-    c_prefs = {}
-    for c in consumers:
-        order = list(providers)
-        rng.shuffle(order)
-        c_prefs[c] = tuple(order)
-    return PreferenceProfile(providers, consumers, p_prefs, c_prefs)
-
-
 def test_c05_matching_oracle_equivalence():
     with criterion(5, "deferred acceptance vs brute-force stable sets (10,000 + 1,000 profiles)"):
         rng = random.Random(0x6A1E)
         for _ in range(10_000):
-            profile = _random_profile(rng, rng.randint(1, 6), rng.randint(1, 6))
+            profile = random_profile(rng, rng.randint(1, 6), rng.randint(1, 6))
             result = gale_shapley(profile, proposing=PROVIDERS)
             check = is_stable(result, profile)
             assert check.stable and not check.blocking_pairs
             assert frozenset(result.pairs) in enumerate_stable_vectorized(profile)
         for _ in range(1_000):
             n = rng.randint(1, 5)
-            profile = _random_profile(rng, n, n)
+            profile = random_profile(rng, n, n)
             result = gale_shapley(profile, proposing=PROVIDERS)
             rank = {
                 p: {c: i for i, c in enumerate(profile.provider_prefs[p])}

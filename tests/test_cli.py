@@ -61,9 +61,9 @@ def refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
-def test_runner_reads_before_its_header_and_computes_after(
-    subcommand, scenario_dir, tmp_path, monkeypatch
-):
+def test_runner_reads_before_its_header_and_computes_after(subcommand, tmp_path, monkeypatch):
+    # Each shipped run with its stages fenced: the runner reads its inputs before its header
+    # and calls no kernel, then computes without opening a file. Its CSV is the golden one.
     from infomarket import analysis, cli, dynamics, game, market, matching, voting
     kernels = [
         (market, "equilibrium_closed_form"), (matching, "gale_shapley"),
@@ -88,10 +88,11 @@ def test_runner_reads_before_its_header_and_computes_after(
         yield from body
 
     monkeypatch.setitem(cli._RUNNERS, subcommand, staged)
-    scenario = scenario_dir / "newsroom.scn"
-    assert run_cli(subcommand, "--scenario", str(scenario), "--out", str(tmp_path)) == 0
-    name = f"newsroom_{subcommand}.csv"
-    assert read(tmp_path / name) == read(GOLDEN_DIR / name)
+    assert [p.stem for p in SHIPPED] == ["newsroom", "tight_race"]
+    for scenario in SHIPPED:
+        assert run_cli(subcommand, "--scenario", str(scenario), "--out", str(tmp_path)) == 0
+        name = f"{scenario.stem}_{subcommand}.csv"
+        assert read(tmp_path / name) == read(GOLDEN_DIR / name), name
 
 
 def test_equilibrium_csv_content(scenario_dir, tmp_path):
@@ -108,6 +109,21 @@ def test_vote_fptp_declares_winner(scenario_dir, tmp_path):
     assert lines[0] == "candidate,first_preference_votes,winner,tied"
     winners = [line for line in lines[1:] if line.split(",")[2] == "1"]
     assert winners == ["A,10,1,0"]
+
+
+@pytest.mark.parametrize("name, subcommand", [
+    ("tight_race.scn", "equilibrium"),
+    ("tight_race_ballots.txt", "vote-meek"),
+    ("tight_race_graph.txt", "path"),  # its first node is the route's source
+])
+def test_a_leading_byte_order_mark_is_skipped(name, subcommand, scenario_dir, tmp_path):
+    shutil.copytree(scenario_dir, tmp_path / "in")
+    path = tmp_path / "in" / name
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    scenario = tmp_path / "in" / "tight_race.scn"
+    assert run_cli(subcommand, "--scenario", str(scenario), "--out", str(tmp_path)) == 0
+    csv_name = f"tight_race_{subcommand}.csv"
+    assert read(tmp_path / csv_name) == read(GOLDEN_DIR / csv_name)
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):
@@ -230,7 +246,9 @@ REFUSALS = [
           f"error [scenario]: [{section}] {key} needs a value\n")
       for subcommand, section, key in [("game", "game", "strategies"),
                                        ("dynamics", "dynamics", "decay_grid"),
-                                       ("vote-meek", "voting", "ballots")]),
+                                       ("vote-meek", "voting", "ballots"),
+                                       ("match", "matching", "providers"),
+                                       ("match", "matching", "consumers")]),
 ]
 
 

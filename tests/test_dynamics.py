@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +12,6 @@ from infomarket.dynamics import (
     check_increment_profile,
     compounding_curve,
     diminishing_curve,
-    increments,
     info_marginal_contribution,
     retention,
     utility,
@@ -109,13 +107,6 @@ class TestIncrementProfile:
     def test_default_curves_pass(self):
         assert check_increment_profile(diminishing_curve(), 100).passed
         assert check_increment_profile(compounding_curve(), 100).passed
-
-    def test_strictness_over_long_horizon(self):
-        n = 10_000
-        dim = list(islice(increments(diminishing_curve()), n))
-        assert all(b < a for a, b in zip(dim, dim[1:]))
-        comp = list(islice(increments(compounding_curve()), n))
-        assert all(b > a for a, b in zip(comp, comp[1:]))
 
     def test_constant_curve_passes_both_profiles(self):
         # Zero scale flattens either family; weak monotonicity accepts both.

@@ -164,10 +164,6 @@ def test_stage_game_needs_all_four_cells():
         StageGame(three)
 
 
-def test_nash_prisoners_dilemma():
-    assert nash_equilibria(PD) == [(Action.FAKE, Action.FAKE)]
-
-
 def test_nash_constant_game():
     flat = StageGame({(a, b): (1.0, 1.0) for a in Action for b in Action})
     assert len(nash_equilibria(flat)) == 4

